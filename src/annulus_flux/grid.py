@@ -72,23 +72,6 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
     return w
 
 
-def fourier_diff_matrix(n: int) -> np.ndarray:
-    """Dense spectral differentiation matrix for n equispaced periodic nodes.
-
-    n must be even; the matrix is the standard antisymmetric cotangent form.
-    """
-    if n % 2 != 0:
-        raise ValueError("Fourier differentiation matrix requires even n")
-    d = np.zeros((n, n))
-    if n == 2:
-        return d
-    idx = np.arange(1, n)
-    col = 0.5 * (-1.0) ** idx / np.tan(idx * np.pi / n)
-    for i in range(n):
-        d[i, (i - idx) % n] = col
-    return d
-
-
 @dataclass(frozen=True)
 class PolarGrid:
     """Immutable collocation grid on the annulus r_inner < r < r_outer.
@@ -103,7 +86,6 @@ class PolarGrid:
     r, theta : 1d node arrays (r decreasing from r_outer to r_inner).
     rr, tt : broadcast (n_r, n_theta) node meshes.
     d_r, d_rr : radial differentiation matrices d/dr, d2/dr2.
-    d_theta_matrix : dense angular differentiation matrix.
     w_r_line : radial Clenshaw-Curtis weights on [r_inner, r_outer]
         (no Jacobian), for line integrals in r.
     w_area : radial weights including the polar Jacobian r; together
@@ -124,7 +106,6 @@ class PolarGrid:
     tt: np.ndarray = field(init=False, repr=False)
     d_r: np.ndarray = field(init=False, repr=False)
     d_rr: np.ndarray = field(init=False, repr=False)
-    d_theta_matrix: np.ndarray = field(init=False, repr=False)
     w_r_line: np.ndarray = field(init=False, repr=False)
     w_area: np.ndarray = field(init=False, repr=False)
     w_theta: float = field(init=False)
@@ -147,7 +128,6 @@ class PolarGrid:
         set_(self, "tt", np.broadcast_to(theta[None, :], (self.n_r, self.n_theta)).copy())
         set_(self, "d_r", d_r)
         set_(self, "d_rr", d_r @ d_r)
-        set_(self, "d_theta_matrix", fourier_diff_matrix(self.n_theta))
         set_(self, "w_r_line", w_line)
         set_(self, "w_area", w_line * r)
         set_(self, "w_theta", 2.0 * np.pi / self.n_theta)
@@ -163,8 +143,7 @@ class PolarGrid:
         anti[-1, -1] = 1.0
         set_(self, "_antiderivative_lu", lu_factor(anti))
 
-        for name in ("r", "theta", "rr", "tt", "d_r", "d_rr",
-                     "d_theta_matrix", "w_r_line", "w_area"):
+        for name in ("r", "theta", "rr", "tt", "d_r", "d_rr", "w_r_line", "w_area"):
             getattr(self, name).setflags(write=False)
 
     # -- angular spectral helpers -------------------------------------------------

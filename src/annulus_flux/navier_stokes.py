@@ -16,23 +16,31 @@ interpolates exactly the way the continuation argument sets it up.
 Two linearizations are provided.  The Picard map freezes the whole
 convective term at the current iterate and solves a biharmonic problem per
 angular mode (prefactored operators, linear convergence).  The Newton map
-differentiates both convection slots; for rotationally symmetric states the
-Jacobian stays mode-diagonal and is assembled per mode, otherwise a full
-two-dimensional collocation Jacobian (with the mode-0 outer stream constant
-as a bordered unknown) is built and solved densely.
+differentiates both convection slots; its residual is kept in the modal
+layout of the per-mode systems.  About a rotationally symmetric state the
+per-mode Jacobian is exact and the step is one direct solve per mode.
+Otherwise the step is Jacobian-free Newton-Krylov (Knoll & Keyes, J. Comput.
+Phys. 193, 2004): GMRES on the analytic Jacobian-vector product, built from
+the residual's own FFT and radial operators, right-preconditioned by the
+per-mode Jacobian about the angular mean, factored once per step.  GMRES
+runs to a relative 1e-10, floored at the residual's rounding level; a miss
+within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.  Memory is
+n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1 Krylov vectors.
 
 Convergence is measured by the Dirichlet norm of the velocity update
 relative to max(1, J): for Picard this is the fixed-point defect, for
 Newton the step norm; both floor at the rounding level of the direct
-solves.
+solves.  A non-finite or blown-up step ends the iteration unconverged at the
+last finite iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .boundary import BoundaryTrace, flux_carrier, pure_flux_trace
 from .diagnostics import DiagnosticsRecord, boundary_pressures, diagnostics_for_solution
@@ -51,6 +59,14 @@ from .fields import (
 from .grid import PolarGrid, integrate
 from .stokes import StreamBC, mode_laplacians, pressure_from_momentum, solve_stream_system
 from .testspace import divergence_free_test_fields
+
+# GMRES target of a Newton-Krylov step, relative to the Newton residual
+KRYLOV_RTOL = 1e-10
+# hard cap on the GMRES iterations of one Newton-Krylov step; nu = 1 data
+# needs 2-6, Couette(5, 0) plus k = 2 normal data at nu = 0.002 up to 86
+KRYLOV_MAX_ITER = 100
+# a step this many times larger than max(1, max|psi|) counts as divergence
+BLOWUP_FACTOR = 1e6
 
 
 class NewtonSingularError(RuntimeError):
@@ -95,7 +111,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Converged (or final) state of a nonlinear solve with its diagnostics."""
+    """Converged (or final) state of a nonlinear solve with its diagnostics.
+
+    ``steps`` records each iteration's ``kind``: ``modal``, ``krylov`` (with
+    ``gmres_iterations``), ``picard`` or ``picard-fallback``.
+    """
 
     u: VelocityField
     w: VelocityField
@@ -107,6 +127,7 @@ class SolveReport:
     iterations: int
     converged: bool
     residual_history: list[float]
+    steps: list[dict]
     diagnostics: DiagnosticsRecord
     boundary_pressure_deviation: float
     pressure_info: dict
@@ -122,6 +143,7 @@ class SolveReport:
             "converged": self.converged,
             "method": self.method,
             "residual_history": list(self.residual_history),
+            "steps": [dict(step) for step in self.steps],
             "boundary_pressure_deviation": self.boundary_pressure_deviation,
             "pressure_info": dict(self.pressure_info),
             "diagnostics": self.diagnostics.to_dict(),
@@ -153,20 +175,6 @@ class ContinuationTrace:
         return None
 
 
-def _fourier_second_matrix(n: int) -> np.ndarray:
-    """Dense periodic second-derivative matrix (full Nyquist term, matches FFT)."""
-    if n % 2 != 0:
-        raise ValueError("even n required")
-    h = 2.0 * np.pi / n
-    d2 = np.zeros((n, n))
-    idx = np.arange(1, n)
-    col = -0.5 * (-1.0) ** idx / np.sin(idx * h / 2.0) ** 2
-    for i in range(n):
-        d2[i, (i - idx) % n] = col
-    np.fill_diagonal(d2, -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0)
-    return d2
-
-
 # -- internal problem ---------------------------------------------------------------
 
 
@@ -196,11 +204,12 @@ class _Problem:
         return (u.u_r.values * g.diff_r(omega)
                 + u.u_theta.values * g.diff_theta(omega) / g.rr)
 
-    def swirl_momentum(self, u: VelocityField) -> np.ndarray:
-        """Nodal theta component of (u.grad)u, used by the pressure side condition."""
+    def swirl_momentum(self, v: VelocityField, w: VelocityField) -> np.ndarray:
+        """Nodal theta component of (v.grad)w; (u.grad)u enters the pressure side condition."""
         g = self.grid
-        ur, ut = u.u_r.values, u.u_theta.values
-        return ur * g.diff_r(ut) + ut * g.diff_theta(ut) / g.rr + ur * ut / g.rr
+        vr, vt = v.u_r.values, v.u_theta.values
+        wr, wt = w.u_r.values, w.u_theta.values
+        return vr * g.diff_r(wt) + vt * g.diff_theta(wt) / g.rr + vt * wr / g.rr
 
     def stokes_state(self) -> tuple[np.ndarray, np.ndarray]:
         return solve_stream_system(self.grid, self.bc)
@@ -213,7 +222,7 @@ class _Problem:
     def picard_target(self, psi: np.ndarray, omega: np.ndarray):
         u = self.velocity(psi)
         rhs = self.ratio * self.convection_of_vorticity(u, omega)
-        sc = self.ratio * float(self.swirl_momentum(u)[0, :].mean())
+        sc = self.ratio * float(self.swirl_momentum(u, u)[0, :].mean())
         return solve_stream_system(self.grid, self.bc, rhs, sc)
 
     # -- Newton ---------------------------------------------------------------
@@ -230,56 +239,68 @@ class _Problem:
                 return False
         return True
 
-    def _residual_fields(self, psi: np.ndarray, omega: np.ndarray):
-        """Nodal residuals of the split system plus boundary-row residuals."""
-        g = self.grid
+    def residual(self, psi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, VelocityField]:
+        """Newton residual F in the modal layout, with the velocity of psi.
+
+        F holds rfft coefficients, shape (2, n_r, n_modes): F[0] is Lap(psi) +
+        omega inside and the slopes on the circles (rows 0, -1), F[1] the
+        vorticity transport inside and the values on the circles.  The outer
+        stream constant is free, so mode 0 of the outer value row holds
+        n_theta times the single-valued-pressure side condition instead.
+        """
+        g, bc = self.grid, self.bc
         u = self.velocity(psi)
-        lap_psi = (g.diff_r(psi, 2) + g.diff_r(psi) / g.rr
-                   + g.diff_theta(psi, 2) / g.rr**2)
-        f1 = lap_psi + omega
-        lap_omega = (g.diff_r(omega, 2) + g.diff_r(omega) / g.rr
-                     + g.diff_theta(omega, 2) / g.rr**2)
-        f2 = lap_omega - self.ratio * self.convection_of_vorticity(u, omega)
+        rows = np.empty((2, g.n_r, g.n_theta))
+        rows[0] = _laplacian(g, psi) + omega
+        rows[1] = _laplacian(g, omega) - self.ratio * self.convection_of_vorticity(u, omega)
         dpsi = g.diff_r(psi)
-        domega = g.diff_r(omega)
-        value_outer = psi[0, :] - self.bc.psi_outer
-        bc_res = {
-            "slope_outer": dpsi[0, :] - self.bc.dpsi_outer,
-            "slope_inner": dpsi[-1, :] - self.bc.dpsi_inner,
-            # the angular mean of the outer value is the bordered constant
-            "value_outer": value_outer - value_outer.mean(),
-            "value_inner": psi[-1, :] - self.bc.psi_inner,
-            "side": float(domega[0, :].mean()
-                          - self.ratio * self.swirl_momentum(u)[0, :].mean()),
-        }
-        return f1, f2, bc_res, u
+        rows[0, 0] = dpsi[0, :] - bc.dpsi_outer
+        rows[0, -1] = dpsi[-1, :] - bc.dpsi_inner
+        value_outer = psi[0, :] - bc.psi_outer
+        rows[1, 0] = value_outer - value_outer.mean()
+        rows[1, -1] = psi[-1, :] - bc.psi_inner
+        side = float(g.diff_r(omega)[0, :].mean()
+                     - self.ratio * self.swirl_momentum(u, u)[0, :].mean())
+        return self._modal(rows, side), u
 
-    def newton_update(self, psi: np.ndarray, omega: np.ndarray):
-        if self.is_rotationally_symmetric(psi, omega):
-            return self._newton_update_modal(psi, omega)
-        return self._newton_update_dense(psi, omega)
+    def jacobian(self, u: VelocityField, omega: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """J @ step at (u, omega), matrix free; ``step`` stacks nodal (dpsi, domega)."""
+        g = self.grid
+        dpsi, domega = step
+        du = curl_of_stream(ScalarField(g, dpsi))
+        rows = np.empty_like(step)
+        rows[0] = _laplacian(g, dpsi) + domega
+        rows[1] = _laplacian(g, domega) - self.ratio * (
+            self.convection_of_vorticity(du, omega) + self.convection_of_vorticity(u, domega))
+        slope = g.diff_r(dpsi)
+        rows[0, 0] = slope[0, :]
+        rows[0, -1] = slope[-1, :]
+        rows[1, 0] = dpsi[0, :]
+        rows[1, -1] = dpsi[-1, :]
+        d_swirl = self.swirl_momentum(du, u) + self.swirl_momentum(u, du)
+        side = float(g.diff_r(domega)[0, :].mean() - self.ratio * d_swirl[0, :].mean())
+        return self._modal(rows, side)
 
-    def _newton_update_modal(self, psi: np.ndarray, omega: np.ndarray):
-        """Per-mode Newton step around a rotationally symmetric state."""
+    def _modal(self, rows: np.ndarray, side: float) -> np.ndarray:
+        hat = self.grid.to_modes(rows)
+        hat[1, 0, 0] = side * self.grid.n_theta  # rfft scaling of an angular mean
+        return hat
+
+    def modal_jacobian(self, u: VelocityField, omega: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield the per-mode Newton blocks about the angular-mean state, k = 0, 1, ...
+
+        The exact Jacobian about a rotationally symmetric state, otherwise
+        the preconditioner of the Krylov solve.  Block rows follow the
+        layout of :meth:`residual`: the rows of F[0], then those of F[1].
+        """
         g = self.grid
         n = g.n_r
-        f1, f2, bc_res, u = self._residual_fields(psi, omega)
         ur0 = u.u_r.values.mean(axis=1)
         ut0 = u.u_theta.values.mean(axis=1)
         domega0 = g.d_r @ omega.mean(axis=1)
-
-        f1_hat = g.to_modes(f1)
-        f2_hat = g.to_modes(f2)
-        s1_hat = np.fft.rfft(bc_res["slope_outer"])
-        s2_hat = np.fft.rfft(bc_res["slope_inner"])
-        v1_hat = np.fft.rfft(bc_res["value_outer"])
-        v2_hat = np.fft.rfft(bc_res["value_inner"])
-
         laps = mode_laplacians(g)
         r = g.r
         eye = np.eye(n)
-        delta_psi = np.zeros((n, g.n_modes), dtype=complex)
-        delta_omega = np.zeros((n, g.n_modes), dtype=complex)
         for k in range(g.n_modes):
             m = np.zeros((2 * n, 2 * n), dtype=complex)
             m[0, :n] = g.d_r[0]
@@ -296,103 +317,91 @@ class _Problem:
             m[n + 1:2 * n - 1, n:] = (laps[k] - self.ratio * conv)[1:n - 1]
             m[n + 1:2 * n - 1, :n] += (-self.ratio * 1j * k) * np.diag(domega0 / r)[1:n - 1]
             m[2 * n - 1, n - 1] = 1.0
+            yield m
 
-            rhs = np.zeros(2 * n, dtype=complex)
-            rhs[0] = -s1_hat[k]
-            rhs[1:n - 1] = -f1_hat[1:n - 1, k]
-            rhs[n - 1] = -s2_hat[k]
-            rhs[n] = -bc_res["side"] * g.n_theta if k == 0 else -v1_hat[k]
-            rhs[n + 1:2 * n - 1] = -f2_hat[1:n - 1, k]
-            rhs[2 * n - 1] = -v2_hat[k]
+    def apply_modal(self, solve: Callable, res: np.ndarray) -> np.ndarray:
+        """Nodal (dpsi, domega) from the block solutions ``solve`` returns for ``res``.
+
+        ``solve`` maps stacked right-hand sides (n_modes, 2 n_r) to solutions.
+        """
+        g = self.grid
+        sol = solve(res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r))
+        step = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
+        if not np.all(np.isfinite(step)):
+            raise NewtonSingularError(self.cfg.lam, self.flux)
+        return step
+
+    def newton_update(self, psi: np.ndarray, omega: np.ndarray):
+        """Newton step (dpsi, domega) and its record ``{"kind": ...}``.
+
+        The modal Jacobian P is exact about a rotationally symmetric state
+        (kind ``modal``); otherwise P, factored once, right-preconditions
+        GMRES started from P^-1(-F) (kind ``krylov``).  Raises
+        NewtonSingularError on a singular block or a GMRES miss.
+        """
+        res, u = self.residual(psi, omega)
+        blocks = self.modal_jacobian(u, omega)
+        if self.is_rotationally_symmetric(psi, omega):
             try:
-                sol = np.linalg.solve(m, rhs)
+                step = self.apply_modal(lambda rhs: np.stack(
+                    [np.linalg.solve(m, b) for m, b in zip(blocks, rhs)]), -res)
             except np.linalg.LinAlgError as exc:
                 raise NewtonSingularError(self.cfg.lam, self.flux) from exc
-            if not np.all(np.isfinite(sol)):
-                raise NewtonSingularError(self.cfg.lam, self.flux)
-            delta_psi[:, k] = sol[:n]
-            delta_omega[:, k] = sol[n:]
-        return g.from_modes(delta_psi), g.from_modes(delta_omega)
+            return step[0], step[1], {"kind": "modal"}
 
-    def _newton_update_dense(self, psi: np.ndarray, omega: np.ndarray):
-        """Full 2D Newton step, bordered with the mode-0 outer stream constant."""
-        g = self.grid
-        n, nt = g.n_r, g.n_theta
-        m_size = n * nt
-        f1, f2, bc_res, u = self._residual_fields(psi, omega)
+        factors = [lu_factor(m, check_finite=False) for m in blocks]
 
-        eye_t = np.eye(nt)
-        dr = np.kron(g.d_r, eye_t)
-        drr = np.kron(g.d_rr, eye_t)
-        dth = np.kron(np.eye(n), g.d_theta_matrix)
-        dth_dr = np.kron(g.d_r, g.d_theta_matrix)
-        rinv_dth = np.kron(np.diag(1.0 / g.r), g.d_theta_matrix)
-        lap = (np.kron(g.d_rr + np.diag(1.0 / g.r) @ g.d_r, eye_t)
-               + np.kron(np.diag(1.0 / g.r**2), _fourier_second_matrix(nt)))
+        def precondition(v: np.ndarray) -> np.ndarray:
+            return self.apply_modal(lambda rhs: np.stack(
+                [lu_solve(f, b, check_finite=False) for f, b in zip(factors, rhs)]), v)
 
-        ur = u.u_r.values.ravel()
-        ut = u.u_theta.values.ravel()
-        rr = g.rr.ravel()
-        omega_r = g.diff_r(omega).ravel()
-        omega_t = (g.diff_theta(omega) / g.rr).ravel()
-
-        # dF2/dpsi via the perturbed velocity, dF2/domega directly
-        j_psi = -self.ratio * (omega_r[:, None] * rinv_dth - omega_t[:, None] * dr)
-        j_omega = lap - self.ratio * (ur[:, None] * dr + (ut / rr)[:, None] * dth)
-
-        outer = slice(0, nt)
-        inner = slice(m_size - nt, m_size)
-
-        total = 2 * m_size + 1
-        k_mat = np.zeros((total, total))
-        rhs = np.zeros(total)
-
-        # stream rows: Lap psi + omega inside, slope rows on both rings
-        k_mat[:m_size, :m_size] = lap
-        k_mat[:m_size, m_size:2 * m_size] = np.eye(m_size)
-        rhs[:m_size] = -f1.ravel()
-        k_mat[outer, :] = 0.0
-        k_mat[outer, :m_size] = dr[outer, :]
-        rhs[:m_size][outer] = -bc_res["slope_outer"]
-        k_mat[inner, :] = 0.0
-        k_mat[inner, :m_size] = dr[inner, :]
-        rhs[:m_size][inner] = -bc_res["slope_inner"]
-
-        # vorticity rows: transport inside, psi value rows on both rings
-        rows_b = slice(m_size, 2 * m_size)
-        k_mat[rows_b, :m_size] = j_psi
-        k_mat[rows_b, m_size:2 * m_size] = j_omega
-        rhs[rows_b] = -f2.ravel()
-        b_outer = np.arange(m_size, m_size + nt)
-        b_inner = np.arange(2 * m_size - nt, 2 * m_size)
-        k_mat[b_outer, :] = 0.0
-        k_mat[b_outer, np.arange(nt)] = 1.0
-        k_mat[b_outer, -1] = -1.0
-        rhs[b_outer] = -bc_res["value_outer"]
-        k_mat[b_inner, :] = 0.0
-        k_mat[b_inner, np.arange(m_size - nt, m_size)] = 1.0
-        rhs[b_inner] = -bc_res["value_inner"]
-
-        # bordered side-condition row: mean over the outer ring of the
-        # linearized single-valued-pressure balance
-        ut_r = g.diff_r(u.u_theta.values).ravel()
-        ut_t = g.diff_theta(u.u_theta.values).ravel()
-        d_swirl = ((ut_r + ut / rr)[:, None] * rinv_dth
-                   - ur[:, None] * drr
-                   - (ut_t / rr)[:, None] * dr
-                   - (ut / rr)[:, None] * dth_dr
-                   - (ur / rr)[:, None] * dr)
-        k_mat[-1, :m_size] = -self.ratio * d_swirl[:nt, :].mean(axis=0)
-        k_mat[-1, m_size:2 * m_size] = dr[:nt, :].mean(axis=0)
-        rhs[-1] = -bc_res["side"]
-
-        try:
-            sol = np.linalg.solve(k_mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonSingularError(self.cfg.lam, self.flux) from exc
-        if not np.all(np.isfinite(sol)):
+        step = precondition(-res)
+        # F sums terms the size of omega and of Lap(omega): below eps times
+        # their size it is rounding, so no tighter linear solve is useful
+        terms = self.grid.to_modes(np.stack([omega, _laplacian(self.grid, omega)]))
+        floor = np.finfo(float).eps * float(np.linalg.norm(terms))
+        target = max(KRYLOV_RTOL * float(np.linalg.norm(res)), floor)
+        rhs = -res - self.jacobian(u, omega, step)
+        solved = _gmres(lambda v: self.jacobian(u, omega, precondition(v)),
+                        rhs, target, KRYLOV_MAX_ITER)
+        if solved is None:
             raise NewtonSingularError(self.cfg.lam, self.flux)
-        return sol[:m_size].reshape(n, nt), sol[m_size:2 * m_size].reshape(n, nt)
+        correction, count = solved
+        step = step + precondition(correction)
+        return step[0], step[1], {"kind": "krylov", "gmres_iterations": count}
+
+
+def _laplacian(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
+    return scalar_laplacian(ScalarField(grid, values)).values
+
+
+def _gmres(apply: Callable, rhs: np.ndarray, target: float, max_iter: int):
+    """Unrestarted GMRES from zero for apply(x) = rhs: (x, iterations), or None.
+
+    Arnoldi with modified Gram-Schmidt under the real inner product, so
+    ``apply`` need only be real-linear on complex arrays; the Hessenberg
+    least-squares problem is re-solved until its residual is <= ``target``.
+    """
+    beta = float(np.linalg.norm(rhs))
+    if beta <= target:
+        return np.zeros_like(rhs), 0
+    basis = [rhs / beta]
+    hess = np.zeros((max_iter + 1, max_iter))
+    for j in range(max_iter):
+        w = apply(basis[j])
+        for i, v in enumerate(basis):
+            hess[i, j] = np.vdot(v, w).real
+            w = w - hess[i, j] * v
+        hess[j + 1, j] = np.linalg.norm(w)
+        e1 = np.r_[beta, np.zeros(j + 1)]
+        h = hess[:j + 2, :j + 1]
+        y = np.linalg.lstsq(h, e1, rcond=None)[0]
+        if np.linalg.norm(h @ y - e1) <= target:
+            return sum(c * v for c, v in zip(y, basis)), j + 1
+        if not hess[j + 1, j] > 0.0:
+            return None
+        basis.append(w / hess[j + 1, j])
+    return None
 
 
 # -- iteration drivers --------------------------------------------------------------
@@ -402,31 +411,39 @@ def _iterate(problem: _Problem, psi0: np.ndarray, omega0: np.ndarray,
              on_iterate: Callable | None = None):
     """Run the configured iteration from (psi0, omega0).
 
-    Returns (psi, omega, history, converged, iterations).  On a singular
-    Newton Jacobian the step falls back to a damped Picard sweep for that
-    iteration, the documented robustness fallback near turning points.
+    Returns (psi, omega, history, steps, converged, iterations).  On a
+    singular Newton Jacobian or a Krylov miss the step falls back to a damped
+    Picard sweep for that iteration, the documented robustness fallback near
+    turning points.  A non-finite or blown-up step is not applied: the
+    iteration stops, unconverged, at the last finite iterate.
     """
     cfg = problem.cfg
     psi, omega = psi0, omega0
     history: list[float] = []
+    steps: list[dict] = []
     converged = False
-    iterations = 0
     # at lambda = 0 the problem is the (linear) Stokes problem; the fixed-point
     # map reproduces its solution exactly, so no linearization is needed
     method = "picard" if cfg.lam == 0.0 else cfg.method
-    for iterations in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         scale = max(1.0, problem.update_norm(psi - psi0))
         if method == "picard":
             target_psi, target_omega = problem.picard_target(psi, omega)
             dpsi, domega = target_psi - psi, target_omega - omega
+            step = {"kind": "picard"}
         else:
             try:
-                dpsi, domega = problem.newton_update(psi, omega)
+                dpsi, domega, step = problem.newton_update(psi, omega)
             except NewtonSingularError:
                 target_psi, target_omega = problem.picard_target(psi, omega)
                 dpsi, domega = 0.5 * (target_psi - psi), 0.5 * (target_omega - omega)
+                step = {"kind": "picard-fallback"}
+        finite = np.all(np.isfinite(dpsi)) and np.all(np.isfinite(domega))
+        if not finite or np.max(np.abs(dpsi)) >= BLOWUP_FACTOR * max(1.0, np.max(np.abs(psi))):
+            break  # divergence: keep the last finite iterate
         defect = problem.update_norm(dpsi) / scale
         history.append(defect)
+        steps.append(step)
         psi = psi + cfg.damping * dpsi
         omega = omega + cfg.damping * domega
         if on_iterate is not None:
@@ -434,9 +451,7 @@ def _iterate(problem: _Problem, psi0: np.ndarray, omega0: np.ndarray,
         if defect < cfg.tol:
             converged = True
             break
-        if not np.all(np.isfinite(psi)):
-            break
-    return psi, omega, history, converged, iterations
+    return psi, omega, history, steps, converged, len(history)
 
 
 def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
@@ -453,7 +468,8 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     psi_stokes, omega_stokes = problem.stokes_state()
     u_stokes = problem.velocity(psi_stokes)
     psi0, omega0 = warm_start if warm_start is not None else (psi_stokes, omega_stokes)
-    psi, omega, history, converged, iterations = _iterate(problem, psi0, omega0, on_iterate)
+    psi, omega, history, steps, converged, iterations = _iterate(problem, psi0, omega0,
+                                                                 on_iterate)
 
     u = problem.velocity(psi)
     w = u - u_stokes
@@ -465,7 +481,7 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     return SolveReport(
         u=u, w=w, p=p, J=j, flux=problem.flux, lam=cfg.lam, nu=cfg.nu,
         iterations=iterations, converged=converged, residual_history=history,
-        diagnostics=diag,
+        steps=steps, diagnostics=diag,
         boundary_pressure_deviation=boundary_pressures(p).deviation,
         pressure_info=pinfo, method=cfg.method,
     )
@@ -513,9 +529,9 @@ def picard_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> 
 
 
 def newton_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> VelocityField:
-    """One full-linearization step; raises NewtonSingularError on a singular Jacobian."""
+    """One full-linearization step; raises NewtonSingularError as newton_update does."""
     problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
-    dpsi, _ = problem.newton_update(psi, omega)
+    dpsi, _, _ = problem.newton_update(psi, omega)
     return problem.velocity(psi + dpsi) - u_aux
 
 

@@ -53,6 +53,22 @@ class TestSolve:
         assert report["converged"] is False
         assert len(report["residual_history"]) == 1
 
+    def test_divergence_exit_two_keeps_report(self, tmp_path):
+        # Picard at nu = 0.01 on Couette(5, 0) plus k = 2 normal data diverges
+        cfg = write_config(tmp_path, {
+            "grid": {"n_r": 24},
+            "nu": 0.01,
+            "boundary": {"preset": "fourier", "angular_outer": {"0": 10.0},
+                         "normal_outer": {"2": 0.1}, "normal_inner": {"2": 0.05}},
+            "solver": {"method": "picard"},
+        })
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["converged"] is False
+        assert len(report["steps"]) == report["iterations"] < 200
+        assert {step["kind"] for step in report["steps"]} == {"picard"}
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"grid": {')

@@ -105,13 +105,6 @@ def test_grid_arrays_immutable(grid):
         grid.d_r[0, 0] = 1.0
 
 
-def test_fourier_matrix_matches_fft(grid):
-    v = np.sin(3 * grid.theta) + 0.25 * np.cos(5 * grid.theta)
-    via_fft = grid.diff_theta(np.tile(v, (grid.n_r, 1)))[0]
-    via_matrix = grid.d_theta_matrix @ v
-    assert np.max(np.abs(via_fft - via_matrix)) < 1e-12
-
-
 def test_radial_antiderivative_spectral(grid):
     got = grid.radial_antiderivative(np.cos(grid.r))
     assert np.max(np.abs(got - (np.sin(grid.r) - np.sin(1.0)))) < 1e-13

@@ -6,6 +6,8 @@ with J = 0 exactly; the weak form of the homotopy family is checked by
 quadrature against a divergence-free zero-trace test family.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,8 @@ from annulus_flux import (
     weak_residual,
 )
 from annulus_flux.fields import velocity_l2_norm
-from annulus_flux.navier_stokes import energy_cancellation
+from annulus_flux import navier_stokes
+from annulus_flux.navier_stokes import _Problem, energy_cancellation
 
 NEWTON = SolverConfig(nu=1.0, lam=1.0, method="newton")
 PICARD = SolverConfig(nu=1.0, lam=1.0, method="picard")
@@ -194,6 +197,20 @@ class TestSolve:
         assert not report.converged
         assert len(report.residual_history) == 1
 
+    def test_divergence_stops_at_last_finite_iterate(self):
+        # Picard at nu = 0.01 on Couette(5, 0) plus k = 2 normal data blows
+        # up super-exponentially; the solve reports instead of overflowing
+        g = build_grid(24, 16, 1.0, 2.0)
+        trace = couette_trace(5.0, 0.0) + fourier_trace(
+            1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05})
+        report = solve(g, trace, SolverConfig(nu=0.01, method="picard"))
+        assert not report.converged
+        assert report.iterations < 200
+        assert len(report.residual_history) == len(report.steps) == report.iterations
+        assert np.all(np.isfinite(report.residual_history))
+        assert np.isfinite(report.J)
+        json.dumps(report.to_dict(), allow_nan=False)
+
     def test_nonradial_data_dense_newton(self, grid):
         trace = couette_trace(1.0, 0.0) + fourier_trace(
             1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
@@ -205,8 +222,6 @@ class TestSolve:
     def test_newton_fallback_on_singular_jacobian(self, grid, spiral_setting, monkeypatch):
         # a singular Jacobian must not abort the solve: the iteration falls
         # back to a damped Picard sweep (robustness near turning points)
-        from annulus_flux.navier_stokes import _Problem
-
         trace = spiral_setting[0]
         original = _Problem.newton_update
         calls = {"n": 0}
@@ -285,3 +300,78 @@ class TestSweep:
         assert values == sorted(values, reverse=True)
         failure = result.first_failure()
         assert failure is None or failure in values
+
+
+NONAXI_CASES = {
+    "couette_k2_32x16": ((32, 16), couette_trace(1.0, 0.0) + fourier_trace(
+        1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})),
+    "fourier_k234_32x64": ((32, 64), fourier_trace(
+        1.0, 2.0, angular_outer={0: 2.0},
+        normal_outer={2: 0.05 + 0.03j, 3: -0.04j, 4: 0.06},
+        normal_inner={2: 0.07, 3: 0.02 + 0.05j, 4: -0.03})),
+}
+
+
+class TestNewtonKrylov:
+    def _state(self, grid, trace):
+        problem = _Problem.from_trace(grid, trace, NEWTON)
+        psi, omega = problem.stokes_state()
+        return problem, psi, omega
+
+    def test_jacobian_matches_difference_quotient(self, grid):
+        problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
+        rng = np.random.default_rng(3)
+        bump = (grid.rr - 1.0) ** 2 * (2.0 - grid.rr) ** 2
+        step = np.stack([bump * np.cos(2 * grid.tt + rng.uniform(0, 6)),
+                         bump * np.sin(3 * grid.tt + rng.uniform(0, 6))])
+        # the residual is quadratic in the state, so the central quotient
+        # is exact up to rounding for any h
+        _, u = problem.residual(psi, omega)
+        h = 1e-2
+        plus, _ = problem.residual(psi + h * step[0], omega + h * step[1])
+        minus, _ = problem.residual(psi - h * step[0], omega - h * step[1])
+        quotient = (plus - minus) / (2 * h)
+        exact = problem.jacobian(u, omega, step)
+        assert np.linalg.norm(exact - quotient) < 1e-9 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("case", sorted(NONAXI_CASES))
+    def test_newton_agrees_with_picard(self, case):
+        # Picard's defect floors near 1e-11 here, so it stops at max_iter
+        # rather than at tol; agreement of the two paths is the check
+        (n_r, n_theta), trace = NONAXI_CASES[case]
+        g = build_grid(n_r, n_theta, 1.0, 2.0)
+        newton = solve(g, trace, NEWTON)
+        picard = solve(g, trace, SolverConfig(method="picard", tol=1e-13, max_iter=40))
+        assert newton.converged
+        assert [step["kind"] for step in newton.steps] == ["krylov"] * newton.iterations
+        assert velocity_l2_norm(newton.u - picard.u) < 1e-10
+
+    def test_fine_grid_converges(self):
+        g = build_grid(64, 128, 1.0, 2.0)
+        report = solve(g, NONAXI_CASES["fourier_k234_32x64"][1], NEWTON)
+        assert report.converged
+        assert report.iterations <= 6
+        assert all(1 <= step["gmres_iterations"] <= 10 for step in report.steps)
+
+    def test_krylov_miss_raises(self, grid, monkeypatch):
+        problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
+        monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
+        with pytest.raises(NewtonSingularError):
+            problem.newton_update(psi, omega)
+
+    def test_krylov_miss_falls_back_to_picard(self, grid, monkeypatch):
+        monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
+        report = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], NEWTON)
+        assert report.converged
+        assert {step["kind"] for step in report.steps} == {"picard-fallback"}
+        assert report.to_dict()["steps"][0] == {"kind": "picard-fallback"}
+
+    def test_step_kinds_recorded(self, grid, spiral_setting):
+        trace = spiral_setting[0]
+        modal = solve(grid, trace, NEWTON)
+        assert modal.steps == [{"kind": "modal"}] * modal.iterations
+        picard = solve(grid, trace, PICARD)
+        assert picard.steps == [{"kind": "picard"}] * picard.iterations
+        krylov = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], NEWTON)
+        assert all(step["kind"] == "krylov" and step["gmres_iterations"] >= 1
+                   for step in krylov.to_dict()["steps"])
