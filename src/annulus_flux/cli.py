@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -156,7 +155,6 @@ def _write_meta(out: Path, command: str) -> None:
         "command": command,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "threads": os.environ.get("ANNULUS_FLUX_THREADS", "1"),
     })
 
 

@@ -14,6 +14,7 @@ ordering x_j = cos(pi j / N).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +77,12 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
 class PolarGrid:
     """Immutable collocation grid on the annulus r_inner < r < r_outer.
 
-    All differentiation and quadrature operators are precomputed at
-    construction; instances are safe to share across threads and every
-    operation on them is pure.  Use :func:`build_grid` to construct one
-    with the precondition checks applied.
+    Differentiation and quadrature operators are computed at construction.
+    The per-mode operators (the mode Laplacians and the batched LU factors of
+    the stream, Dirichlet and Neumann systems) are built on first use and
+    kept.  :func:`build_grid` applies the precondition checks and hands every
+    caller asking for the same grid one shared instance, so its arrays are
+    read-only and every operation on it is pure.
 
     Attributes of interest
     ----------------------
@@ -93,6 +96,9 @@ class PolarGrid:
         over the annulus.
     area, area_outer_disk, area_inner_disk : measures of Omega,
         Omega_1 (disk bounded by Gamma_1) and Omega_2 (hole).
+    mode_laplacians : (n_modes, n_r, n_r) stack of Lap_k.
+    stream_lu, dirichlet_lu, neumann_lu : (lu, piv) stacks of the per-mode
+        systems, for one batched ``scipy.linalg.lu_solve``.
     """
 
     n_r: int
@@ -202,6 +208,67 @@ class PolarGrid:
     def angular_mean(self, values: np.ndarray) -> np.ndarray:
         return values.mean(axis=-1)
 
+    # -- per-mode operators -------------------------------------------------------
+
+    @functools.cached_property
+    def mode_laplacians(self) -> np.ndarray:
+        """Radial collocation matrices of Lap_k = d_rr + (1/r) d_r - k^2/r^2."""
+        base = self.d_rr + (1.0 / self.r)[:, None] * self.d_r
+        laps = base - (self.wavenumbers**2)[:, None, None] * np.diag(1.0 / self.r**2)
+        laps.setflags(write=False)
+        return laps
+
+    def stream_blocks(self, dtype=float) -> np.ndarray:
+        """Per-mode matrices of the clamped biharmonic pair in (psi, omega).
+
+        Rows 0..n_r-1 hold the slopes of psi on the circles and Lap psi +
+        omega inside; rows n_r.. hold Lap omega inside and the values of psi
+        on the circles, except that mode 0 replaces the outer value by the
+        single-valued-pressure side condition d omega/dr (r_outer).  Returns
+        a fresh (n_modes, 2 n_r, 2 n_r) stack for :func:`factor_blocks`.
+        """
+        n = self.n_r
+        laps = self.mode_laplacians[:, 1:n - 1]
+        m = _block_stack(self.n_modes, 2 * n, dtype)
+        m[:, 0, :n] = self.d_r[0]
+        m[:, 1:n - 1, :n] = laps
+        m[:, 1:n - 1, n:] = np.eye(n)[1:n - 1]
+        m[:, n - 1, :n] = self.d_r[-1]
+        m[0, n, n:] = self.d_r[0]       # single-valued pressure
+        m[1:, n, 0] = 1.0               # psi value at the outer circle
+        m[:, n + 1:2 * n - 1, n:] = laps
+        m[:, 2 * n - 1, n - 1] = 1.0    # psi value at the inner circle
+        return m
+
+    @functools.cached_property
+    def stream_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        return factor_blocks(self.stream_blocks())
+
+    @functools.cached_property
+    def dirichlet_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lap_k with value rows on both circles."""
+        n = self.n_r
+        m = _block_stack(self.n_modes, n)
+        m[:] = self.mode_laplacians
+        m[:, [0, n - 1]] = 0.0
+        m[:, 0, 0] = 1.0
+        m[:, n - 1, n - 1] = 1.0
+        return factor_blocks(m)
+
+    @functools.cached_property
+    def neumann_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lap_k with slope rows on both circles and a zero mean for mode 0."""
+        n = self.n_r
+        m = _block_stack(self.n_modes, n)
+        m[:] = self.mode_laplacians
+        m[:, 0] = self.d_r[0]
+        m[:, n - 1] = self.d_r[-1]
+        # Neumann mode 0 is defined up to a constant; trade one interior row
+        # for the zero-mean condition, absorbing the discrete compatibility
+        # defect there.
+        m[0, n // 2] = self.w_area
+        return factor_blocks(m)
+
     def same_as(self, other: "PolarGrid") -> bool:
         return (
             self.n_r == other.n_r
@@ -212,7 +279,10 @@ class PolarGrid:
 
 
 def build_grid(n_r: int, n_theta: int, r_inner: float, r_outer: float) -> PolarGrid:
-    """Construct a :class:`PolarGrid`, validating the preconditions.
+    """The :class:`PolarGrid` for these values, validating the preconditions.
+
+    Equal values give the same instance while it is among the four grids
+    most recently asked for, so its per-mode factors are built once.
 
     Raises
     ------
@@ -227,8 +297,45 @@ def build_grid(n_r: int, n_theta: int, r_inner: float, r_outer: float) -> PolarG
         raise ValueError(f"r_inner must be >= 1 (unit disk inside the hole), got {r_inner}")
     if r_inner >= r_outer:
         raise ValueError(f"need r_inner < r_outer, got {r_inner} >= {r_outer}")
-    return PolarGrid(n_r=int(n_r), n_theta=int(n_theta),
-                     r_inner=float(r_inner), r_outer=float(r_outer))
+    return _shared_grid(int(n_r), int(n_theta), float(r_inner), float(r_outer))
+
+
+# a process works on a few grids at a time (verify uses three); each keeps its
+# factor stacks, about 15 MB at 64x128
+@functools.lru_cache(maxsize=4)
+def _shared_grid(n_r: int, n_theta: int, r_inner: float, r_outer: float) -> PolarGrid:
+    return PolarGrid(n_r=n_r, n_theta=n_theta, r_inner=r_inner, r_outer=r_outer)
+
+
+def _block_stack(count: int, size: int, dtype=float) -> np.ndarray:
+    """Zero (count, size, size) stack whose slices are Fortran ordered.
+
+    LAPACK factors such a slice in place, so :func:`factor_blocks` needs no
+    second stack.
+    """
+    return np.zeros((count, size, size), dtype=dtype).transpose(0, 2, 1)
+
+
+def factor_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of a stack of per-mode matrices, overwriting ``blocks``.
+
+    Returns read-only ``(lu, piv)`` stacks for one batched
+    ``scipy.linalg.lu_solve``.
+
+    Raises
+    ------
+    ValueError
+        Naming the first angular mode whose factor is not finite.
+    """
+    piv = np.empty(blocks.shape[:2], dtype=np.int32)
+    for k, block in enumerate(blocks):
+        lu, piv[k] = lu_factor(block, overwrite_a=True, check_finite=False)
+        if not np.all(np.isfinite(lu)):
+            raise ValueError(f"ill-conditioned collocation system at angular mode {k}")
+        blocks[k] = lu  # no copy for Fortran-ordered slices, which LAPACK overwrites
+    blocks.setflags(write=False)
+    piv.setflags(write=False)
+    return blocks, piv
 
 
 def integrate(grid: PolarGrid, f) -> float:

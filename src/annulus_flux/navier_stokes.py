@@ -37,10 +37,10 @@ last finite iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .boundary import BoundaryTrace, flux_carrier, pure_flux_trace
 from .diagnostics import DiagnosticsRecord, boundary_pressures, diagnostics_for_solution
@@ -56,8 +56,8 @@ from .fields import (
     stream_function,
     trilinear,
 )
-from .grid import PolarGrid, integrate
-from .stokes import StreamBC, mode_laplacians, pressure_from_momentum, solve_stream_system
+from .grid import PolarGrid, factor_blocks, integrate
+from .stokes import StreamBC, pressure_from_momentum, solve_stream_system
 from .testspace import divergence_free_test_fields
 
 # GMRES target of a Newton-Krylov step, relative to the Newton residual
@@ -286,38 +286,31 @@ class _Problem:
         hat[1, 0, 0] = side * self.grid.n_theta  # rfft scaling of an angular mean
         return hat
 
-    def modal_jacobian(self, u: VelocityField, omega: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield the per-mode Newton blocks about the angular-mean state, k = 0, 1, ...
+    def modal_jacobian(self, u: VelocityField, omega: np.ndarray) -> np.ndarray:
+        """Per-mode Newton blocks about the angular-mean state, (n_modes, 2 n_r, 2 n_r).
 
         The exact Jacobian about a rotationally symmetric state, otherwise
-        the preconditioner of the Krylov solve.  Block rows follow the
-        layout of :meth:`residual`: the rows of F[0], then those of F[1].
+        the preconditioner of the Krylov solve.  The stream blocks of the
+        grid (the layout of :meth:`residual`: the rows of F[0], then those of
+        F[1]) plus the linearized convection and side-condition terms.
         """
         g = self.grid
         n = g.n_r
         ur0 = u.u_r.values.mean(axis=1)
         ut0 = u.u_theta.values.mean(axis=1)
         domega0 = g.d_r @ omega.mean(axis=1)
-        laps = mode_laplacians(g)
-        r = g.r
-        eye = np.eye(n)
-        for k in range(g.n_modes):
-            m = np.zeros((2 * n, 2 * n), dtype=complex)
-            m[0, :n] = g.d_r[0]
-            m[1:n - 1, :n] = laps[k][1:n - 1]
-            m[1:n - 1, n:] = eye[1:n - 1]
-            m[n - 1, :n] = g.d_r[-1]
-            if k == 0:
-                swirl_op = -(g.d_r + np.diag(1.0 / r)) @ g.d_r
-                m[n, :n] = -self.ratio * ur0[0] * swirl_op[0]
-                m[n, n:] = g.d_r[0]
-            else:
-                m[n, 0] = 1.0
-            conv = np.diag(ur0) @ g.d_r + (1j * k) * np.diag(ut0 / r)
-            m[n + 1:2 * n - 1, n:] = (laps[k] - self.ratio * conv)[1:n - 1]
-            m[n + 1:2 * n - 1, :n] += (-self.ratio * 1j * k) * np.diag(domega0 / r)[1:n - 1]
-            m[2 * n - 1, n - 1] = 1.0
-            yield m
+        k = g.wavenumbers[:, None]
+        inner = np.arange(1, n - 1)
+        m = g.stream_blocks(complex)
+        swirl_op = -(g.d_r + np.diag(1.0 / g.r)) @ g.d_r
+        m[0, n, :n] = -self.ratio * ur0[0] * swirl_op[0]
+        # linearized vorticity transport: ur0 d_r domega is real and the same
+        # for every mode; ik ut0/r domega and ik omega0'/r dpsi are imaginary
+        # diagonals, added in place without an (n_modes, n_r, n_r) temporary
+        m[:, n + 1:2 * n - 1, n:] -= self.ratio * (np.diag(ur0) @ g.d_r)[inner]
+        m.imag[:, n + inner, n + inner] -= self.ratio * (k * (ut0 / g.r)[inner])
+        m.imag[:, n + inner, inner] += (-self.ratio * k) * (domega0 / g.r)[inner]
+        return m
 
     def apply_modal(self, solve: Callable, res: np.ndarray) -> np.ndarray:
         """Nodal (dpsi, domega) from the block solutions ``solve`` returns for ``res``.
@@ -343,17 +336,20 @@ class _Problem:
         blocks = self.modal_jacobian(u, omega)
         if self.is_rotationally_symmetric(psi, omega):
             try:
-                step = self.apply_modal(lambda rhs: np.stack(
-                    [np.linalg.solve(m, b) for m, b in zip(blocks, rhs)]), -res)
+                step = self.apply_modal(
+                    lambda rhs: np.linalg.solve(blocks, rhs[..., None])[..., 0], -res)
             except np.linalg.LinAlgError as exc:
                 raise NewtonSingularError(self.cfg.lam, self.flux) from exc
             return step[0], step[1], {"kind": "modal"}
 
-        factors = [lu_factor(m, check_finite=False) for m in blocks]
+        try:
+            factors = factor_blocks(blocks)
+        except ValueError as exc:
+            raise NewtonSingularError(self.cfg.lam, self.flux) from exc
 
         def precondition(v: np.ndarray) -> np.ndarray:
-            return self.apply_modal(lambda rhs: np.stack(
-                [lu_solve(f, b, check_finite=False) for f, b in zip(factors, rhs)]), v)
+            return self.apply_modal(lambda rhs: lu_solve(
+                factors, rhs[..., None], check_finite=False)[..., 0], v)
 
         step = precondition(-res)
         # F sums terms the size of omega and of Lap(omega): below eps times

@@ -1,8 +1,10 @@
 """Linear spectral solvers: the auxiliary Stokes problem and Poisson problems.
 
 Everything here reduces to independent boundary-value problems in r, one per
-angular Fourier mode, assembled as dense collocation matrices with boundary
-rows replaced and solved by direct LU.
+angular Fourier mode: dense collocation matrices with boundary rows replaced.
+The grid assembles each family as one stack of per-mode blocks and holds its
+batched LU factors; a solve builds the stack of modal right-hand sides and
+applies the factors with one batched ``lu_solve``.
 
 The Stokes problem is solved in stream-function form.  Writing the velocity
 as flux carrier plus curl(psi), psi is biharmonic; per mode this is the
@@ -28,12 +30,10 @@ out of the solve.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .boundary import BoundaryTrace, boundary_stream_data, flux_carrier
 from .fields import (
@@ -50,81 +50,6 @@ from .fields import (
     velocity_l2_norm,
 )
 from .grid import PolarGrid, integrate
-
-THREADS_ENV = "ANNULUS_FLUX_THREADS"
-
-
-def max_threads() -> int:
-    """Parallelism cap for the per-mode solves, from ANNULUS_FLUX_THREADS."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_modes(fn, count: int) -> list:
-    workers = min(max_threads(), count)
-    if workers <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
-# -- per-mode operator caches -------------------------------------------------------
-
-
-def _grid_key(grid: PolarGrid):
-    return (grid.n_r, grid.n_theta, grid.r_inner, grid.r_outer)
-
-
-def mode_laplacians(grid: PolarGrid) -> list[np.ndarray]:
-    """Radial collocation matrices of Lap_k = d_rr + (1/r) d_r - k^2/r^2."""
-    base = grid.d_rr + (1.0 / grid.r)[:, None] * grid.d_r
-    inv_r2 = (1.0 / grid.r**2)
-    return [base - (k * k) * np.diag(inv_r2) for k in range(grid.n_modes)]
-
-
-_STREAM_CACHE: dict = {}
-_POISSON_DIRICHLET_CACHE: dict = {}
-_POISSON_NEUMANN_CACHE: dict = {}
-
-
-def _stream_systems(grid: PolarGrid):
-    key = _grid_key(grid)
-    if key in _STREAM_CACHE:
-        return _STREAM_CACHE[key]
-    n = grid.n_r
-    laps = mode_laplacians(grid)
-    factored = []
-    for k in range(grid.n_modes):
-        m = np.zeros((2 * n, 2 * n))
-        # stream block: slope rows at both circles, Lap psi + omega inside
-        m[0, :n] = grid.d_r[0]
-        m[1:n - 1, :n] = laps[k][1:n - 1]
-        m[1:n - 1, n:] = np.eye(n)[1:n - 1]
-        m[n - 1, :n] = grid.d_r[-1]
-        # vorticity block: Lap omega inside, value rows / side condition
-        if k == 0:
-            m[n, n:] = grid.d_r[0]          # single-valued pressure
-        else:
-            m[n, 0] = 1.0                   # psi value at the outer circle
-        m[n + 1:2 * n - 1, n:] = laps[k][1:n - 1]
-        m[2 * n - 1, n - 1] = 1.0           # psi value at the inner circle
-        factored.append(_factor(m, k))
-    _STREAM_CACHE[key] = factored
-    return factored
-
-
-def _factor(matrix: np.ndarray, mode: int):
-    try:
-        lu = lu_factor(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise ValueError(f"linear solve failed for angular mode {mode}: {exc}") from exc
-    if not np.all(np.isfinite(lu[0])):
-        raise ValueError(f"ill-conditioned collocation system at angular mode {mode}")
-    return lu
-
 
 @dataclass(frozen=True)
 class StreamBC:
@@ -151,34 +76,16 @@ def solve_stream_system(grid: PolarGrid, bc: StreamBC,
     single-valued-pressure datum d omega/dr(r_outer).  Returns nodal arrays.
     """
     n = grid.n_r
-    factored = _stream_systems(grid)
-    v1 = np.fft.rfft(bc.psi_outer)
-    s1 = np.fft.rfft(bc.dpsi_outer)
-    v2 = np.fft.rfft(bc.psi_inner)
-    s2 = np.fft.rfft(bc.dpsi_inner)
-    q = np.zeros((n, grid.n_modes), dtype=complex)
+    rhs = np.zeros((2 * n, grid.n_modes), dtype=complex)
+    rhs[0] = np.fft.rfft(bc.dpsi_outer)
+    rhs[n - 1] = np.fft.rfft(bc.dpsi_inner)
+    rhs[n] = np.fft.rfft(bc.psi_outer)
+    rhs[n, 0] = sc_value * grid.n_theta  # rfft scaling of an angular mean
     if interior_rhs is not None:
-        q = grid.to_modes(interior_rhs)
-
-    def solve_mode(k: int) -> np.ndarray:
-        rhs = np.zeros(2 * n, dtype=complex)
-        rhs[0] = s1[k]
-        rhs[n - 1] = s2[k]
-        if k == 0:
-            rhs[n] = sc_value * grid.n_theta  # rfft scaling of an angular mean
-        else:
-            rhs[n] = v1[k]
-        rhs[n + 1:2 * n - 1] = q[1:n - 1, k]
-        rhs[2 * n - 1] = v2[k]
-        stacked = np.column_stack([rhs.real, rhs.imag])
-        sol = lu_solve(factored[k], stacked)
-        return sol[:, 0] + 1j * sol[:, 1]
-
-    modes = _map_modes(solve_mode, grid.n_modes)
-    coef = np.stack(modes, axis=1)
-    psi = grid.from_modes(coef[:n, :])
-    omega = grid.from_modes(coef[n:, :])
-    return psi, omega
+        rhs[n + 1:2 * n - 1] = grid.to_modes(interior_rhs)[1:n - 1]
+    rhs[2 * n - 1] = np.fft.rfft(bc.psi_inner)
+    coef = _solve_modal(grid.stream_lu, rhs)
+    return grid.from_modes(coef[:n]), grid.from_modes(coef[n:])
 
 
 # -- Stokes problem -----------------------------------------------------------------
@@ -229,51 +136,15 @@ def stokes_solve(grid: PolarGrid, trace: BoundaryTrace, nu: float = 1.0) -> Stok
 # -- Poisson solvers ----------------------------------------------------------------
 
 
-def _poisson_dirichlet_systems(grid: PolarGrid):
-    key = _grid_key(grid)
-    if key in _POISSON_DIRICHLET_CACHE:
-        return _POISSON_DIRICHLET_CACHE[key]
-    n = grid.n_r
-    factored = []
-    for lap in mode_laplacians(grid):
-        m = lap.copy()
-        m[0, :] = 0.0
-        m[0, 0] = 1.0
-        m[n - 1, :] = 0.0
-        m[n - 1, n - 1] = 1.0
-        factored.append(_factor(m, len(factored)))
-    _POISSON_DIRICHLET_CACHE[key] = factored
-    return factored
+def _solve_modal(factors, rhs_modes: np.ndarray) -> np.ndarray:
+    """Modal coefficients (rows, n_modes) solving each mode's factored system.
 
-
-def _poisson_neumann_systems(grid: PolarGrid):
-    key = _grid_key(grid)
-    if key in _POISSON_NEUMANN_CACHE:
-        return _POISSON_NEUMANN_CACHE[key]
-    n = grid.n_r
-    factored = []
-    for k, lap in enumerate(mode_laplacians(grid)):
-        m = lap.copy()
-        m[0, :] = grid.d_r[0]
-        m[n - 1, :] = grid.d_r[-1]
-        if k == 0:
-            # Neumann mode 0 is defined up to a constant; trade one interior
-            # row for the zero-mean condition, absorbing the discrete
-            # compatibility defect there.
-            m[n // 2, :] = grid.w_area
-        factored.append(_factor(m, k))
-    _POISSON_NEUMANN_CACHE[key] = factored
-    return factored
-
-
-def _solve_modal(grid: PolarGrid, factored, rhs_modes: np.ndarray) -> np.ndarray:
-    def solve_mode(k: int) -> np.ndarray:
-        stacked = np.column_stack([rhs_modes[:, k].real, rhs_modes[:, k].imag])
-        sol = lu_solve(factored[k], stacked)
-        return sol[:, 0] + 1j * sol[:, 1]
-
-    modes = _map_modes(solve_mode, grid.n_modes)
-    return grid.from_modes(np.stack(modes, axis=1))
+    The result is C-contiguous: ``from_modes`` rounds differently on a
+    transposed view.
+    """
+    rhs = np.stack([rhs_modes.real.T, rhs_modes.imag.T], axis=-1)
+    sol = lu_solve(factors, rhs)
+    return np.ascontiguousarray((sol[..., 0] + 1j * sol[..., 1]).T)
 
 
 def pressure_poisson(grid: PolarGrid, w: VelocityField, p1: float, p2: float,
@@ -292,7 +163,7 @@ def pressure_poisson(grid: PolarGrid, w: VelocityField, p1: float, p2: float,
     rhs_modes[-1, :] = 0.0
     rhs_modes[0, 0] = p1 * grid.n_theta
     rhs_modes[-1, 0] = p2 * grid.n_theta
-    values = _solve_modal(grid, _poisson_dirichlet_systems(grid), rhs_modes)
+    values = grid.from_modes(_solve_modal(grid.dirichlet_lu, rhs_modes))
     return ScalarField(grid, values)
 
 
@@ -317,7 +188,7 @@ def pressure_from_momentum(grid: PolarGrid, u: VelocityField, lam: float, nu: fl
     rhs_modes[0, :] = g_r_modes[0, :]
     rhs_modes[-1, :] = g_r_modes[-1, :]
     rhs_modes[grid.n_r // 2, 0] = 0.0
-    values = _solve_modal(grid, _poisson_neumann_systems(grid), rhs_modes)
+    values = grid.from_modes(_solve_modal(grid.neumann_lu, rhs_modes))
     values = values - integrate(grid, values) / grid.area
     pressure = ScalarField(grid, values)
     if not full_output:

@@ -5,11 +5,14 @@ integral of 1/r^2 is 2 pi log(R1/R2), and monomials/log have hand
 derivatives.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from annulus_flux import ScalarField, build_grid, integrate
-from annulus_flux.grid import chebyshev_diff_matrix, clenshaw_curtis_weights
+from annulus_flux import ScalarField, build_grid, integrate, read_velocity_csv
+from annulus_flux.cli import main
+from annulus_flux.grid import chebyshev_diff_matrix, clenshaw_curtis_weights, factor_blocks
 
 
 def test_canonical_annulus_areas():
@@ -108,3 +111,30 @@ def test_grid_arrays_immutable(grid):
 def test_radial_antiderivative_spectral(grid):
     got = grid.radial_antiderivative(np.cos(grid.r))
     assert np.max(np.abs(got - (np.sin(grid.r) - np.sin(1.0)))) < 1e-13
+
+
+def test_factor_blocks_names_first_non_finite_mode():
+    blocks = np.stack([np.eye(4) * (k + 1.0) for k in range(5)])
+    blocks[2, 1, 1] = np.nan
+    blocks[3, 0, 0] = np.inf
+    with pytest.raises(ValueError, match=r"angular mode 2$"):
+        factor_blocks(blocks)
+
+
+def test_build_grid_shares_one_grid_and_its_factors(tmp_path):
+    g = build_grid(32, 64, 1.0, 2.0)
+    assert build_grid(32, 64, 1.0, 2.0) is g
+    assert g.stream_lu is g.stream_lu
+    assert g.dirichlet_lu is g.dirichlet_lu
+    assert g.neumann_lu is g.neumann_lu
+    with pytest.raises(ValueError):
+        g.stream_lu[0][0, 0, 0] = 1.0
+    # a solve's fields.csv reads back onto the same grid, so a check of the
+    # output reuses the solve's factors
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "grid": {"n_r": 32, "n_theta": 64, "r_inner": 1.0, "r_outer": 2.0},
+        "boundary": {"preset": "couette", "omega1": 1.0, "omega2": 0.0},
+    }))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert read_velocity_csv(tmp_path / "fields.csv").grid is g

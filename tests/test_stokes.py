@@ -9,6 +9,7 @@ substitution before the build.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lu_solve
 
 from annulus_flux import (
     ScalarField,
@@ -25,6 +26,7 @@ from annulus_flux import (
     stokes_solve,
 )
 from annulus_flux.fields import l2_norm, velocity_l2_norm
+from annulus_flux.navier_stokes import SolverConfig, _Problem
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
 from annulus_flux.stokes import stokes_weak_residual
 
@@ -167,12 +169,57 @@ def test_stokes_velocity_independent_of_viscosity(grid):
     assert velocity_l2_norm(u1 - u2) == 0.0
 
 
-def test_threaded_mode_solves_deterministic(grid, monkeypatch):
-    # ANNULUS_FLUX_THREADS caps the per-mode parallelism; results must be
-    # independent of the execution order
+def reference_blocks(grid):
+    """Stream, Dirichlet and Neumann matrices assembled one mode at a time."""
+    n = grid.n_r
+    base = grid.d_rr + (1.0 / grid.r)[:, None] * grid.d_r
+    stream, dirichlet, neumann = [], [], []
+    for k in range(grid.n_modes):
+        lap = base - (k * k) * np.diag(1.0 / grid.r**2)
+        m = np.zeros((2 * n, 2 * n))
+        m[0, :n] = grid.d_r[0]
+        m[1:n - 1, :n] = lap[1:n - 1]
+        m[1:n - 1, n:] = np.eye(n)[1:n - 1]
+        m[n - 1, :n] = grid.d_r[-1]
+        if k == 0:
+            m[n, n:] = grid.d_r[0]
+        else:
+            m[n, 0] = 1.0
+        m[n + 1:2 * n - 1, n:] = lap[1:n - 1]
+        m[2 * n - 1, n - 1] = 1.0
+        stream.append(m)
+        d = lap.copy()
+        d[[0, n - 1]] = 0.0
+        d[0, 0] = d[n - 1, n - 1] = 1.0
+        dirichlet.append(d)
+        m = lap.copy()
+        m[0], m[n - 1] = grid.d_r[0], grid.d_r[-1]
+        if k == 0:
+            m[n // 2] = grid.w_area
+        neumann.append(m)
+    return stream, dirichlet, neumann
+
+
+def test_factor_stacks_solve_reference_blocks(grid):
+    rng = np.random.default_rng(3)
+    stream, dirichlet, neumann = reference_blocks(grid)
+    for (lu, piv), blocks in ((grid.stream_lu, stream), (grid.dirichlet_lu, dirichlet),
+                              (grid.neumann_lu, neumann)):
+        assert lu.shape == (grid.n_modes,) + blocks[0].shape
+        for k, block in enumerate(blocks):
+            b = rng.standard_normal(len(block))
+            want = np.linalg.solve(block, b)
+            got = lu_solve((lu[k], piv[k]), b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_modal_jacobian_at_lambda_zero_is_stream_blocks(grid):
+    # the Newton blocks extend the stream layout; at lambda = 0 they are it
     tr = spiral_trace(1.0, 1.0, 1.0) + fourier_trace(
         1.0, 2.0, normal_outer={3: 0.2}, angular_inner={2: 0.1})
-    u_serial = stokes_solve(grid, tr).velocity
-    monkeypatch.setenv("ANNULUS_FLUX_THREADS", "4")
-    u_threaded = stokes_solve(grid, tr).velocity
-    assert velocity_l2_norm(u_serial - u_threaded) == 0.0
+    problem = _Problem.from_trace(grid, tr, SolverConfig(lam=0.0))
+    psi, omega = problem.stokes_state()
+    blocks = problem.modal_jacobian(problem.velocity(psi), omega)
+    stream = np.stack(reference_blocks(grid)[0])
+    assert np.array_equal(grid.stream_blocks(), stream)
+    assert np.array_equal(blocks, stream)
