@@ -30,7 +30,6 @@ from .diagnostics import diagnostics_for_fields
 from .fields import read_velocity_csv, write_scalar_csv, write_velocity_csv
 from .grid import PolarGrid, build_grid
 from .navier_stokes import ContinuationTrace, SolverConfig, solve, sweep
-from .oracle import make_profile
 from .stokes import pressure_from_momentum
 from .verify import format_table, run_checks
 
@@ -127,12 +126,6 @@ class RunConfig:
                 sweep_values = [float(v) for v in values]
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep.values: {exc}") from exc
-
-        if "oracle" in raw:
-            try:
-                make_profile(section("oracle"))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ConfigError(f"oracle: {exc}") from exc
 
         ospec = raw.get("output", {})
         if not isinstance(ospec, dict):

@@ -110,7 +110,7 @@ def bernoulli_deviation(phi: ScalarField, psi: ScalarField, n_levels: int = 64,
     A constant psi is degenerate (every point is critical); in that case the
     global spread of phi is returned and flagged in the ``full_output`` info.
     """
-    if not phi.grid.same_as(psi.grid):
+    if phi.grid != psi.grid:
         raise ValueError("phi and psi live on different grids")
     g = phi.grid
     pv, sv = phi.values, psi.values

@@ -62,7 +62,7 @@ class VelocityField:
 
     def __post_init__(self) -> None:
         for comp in (self.u_r, self.u_theta):
-            if not self.grid.same_as(comp.grid):
+            if self.grid != comp.grid:
                 raise ValueError("velocity components live on a different grid")
 
     @classmethod
@@ -103,7 +103,7 @@ class VelocityField:
 
 
 def _check_same_grid(a, b) -> None:
-    if not a.grid.same_as(b.grid):
+    if a.grid != b.grid:
         raise ValueError("fields live on different grids")
 
 

@@ -82,7 +82,8 @@ class PolarGrid:
     the stream, Dirichlet and Neumann systems) are built on first use and
     kept.  :func:`build_grid` applies the precondition checks and hands every
     caller asking for the same grid one shared instance, so its arrays are
-    read-only and every operation on it is pure.
+    read-only and every operation on it is pure.  Grids compare and hash by
+    ``(n_r, n_theta, r_inner, r_outer)``.
 
     Attributes of interest
     ----------------------
@@ -106,18 +107,19 @@ class PolarGrid:
     r_inner: float
     r_outer: float
 
-    r: np.ndarray = field(init=False, repr=False)
-    theta: np.ndarray = field(init=False, repr=False)
-    rr: np.ndarray = field(init=False, repr=False)
-    tt: np.ndarray = field(init=False, repr=False)
-    d_r: np.ndarray = field(init=False, repr=False)
-    d_rr: np.ndarray = field(init=False, repr=False)
-    w_r_line: np.ndarray = field(init=False, repr=False)
-    w_area: np.ndarray = field(init=False, repr=False)
-    w_theta: float = field(init=False)
-    area: float = field(init=False)
-    area_outer_disk: float = field(init=False)
-    area_inner_disk: float = field(init=False)
+    # derived from the four parameters above, so equality and hashing skip them
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    rr: np.ndarray = field(init=False, repr=False, compare=False)
+    tt: np.ndarray = field(init=False, repr=False, compare=False)
+    d_r: np.ndarray = field(init=False, repr=False, compare=False)
+    d_rr: np.ndarray = field(init=False, repr=False, compare=False)
+    w_r_line: np.ndarray = field(init=False, repr=False, compare=False)
+    w_area: np.ndarray = field(init=False, repr=False, compare=False)
+    w_theta: float = field(init=False, compare=False)
+    area: float = field(init=False, compare=False)
+    area_outer_disk: float = field(init=False, compare=False)
+    area_inner_disk: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         half_width = 0.5 * (self.r_outer - self.r_inner)
@@ -269,14 +271,6 @@ class PolarGrid:
         m[0, n // 2] = self.w_area
         return factor_blocks(m)
 
-    def same_as(self, other: "PolarGrid") -> bool:
-        return (
-            self.n_r == other.n_r
-            and self.n_theta == other.n_theta
-            and self.r_inner == other.r_inner
-            and self.r_outer == other.r_outer
-        )
-
 
 def build_grid(n_r: int, n_theta: int, r_inner: float, r_outer: float) -> PolarGrid:
     """The :class:`PolarGrid` for these values, validating the preconditions.
@@ -346,7 +340,7 @@ def integrate(grid: PolarGrid, f) -> float:
     """
     values = getattr(f, "values", f)
     owner = getattr(f, "grid", None)
-    if owner is not None and not grid.same_as(owner):
+    if owner is not None and grid != owner:
         raise ValueError("field lives on a different grid")
     values = np.asarray(values)
     if values.shape != (grid.n_r, grid.n_theta):

@@ -114,7 +114,11 @@ class SolveReport:
     """Converged (or final) state of a nonlinear solve with its diagnostics.
 
     ``steps`` records each iteration's ``kind``: ``modal``, ``krylov`` (with
-    ``gmres_iterations``), ``picard`` or ``picard-fallback``.
+    ``gmres_iterations``), ``picard`` or ``picard-fallback``.  ``psi`` and
+    ``omega`` are the solver's final iterate, read only: the stream function
+    of the zero-flux part (``u = flux_carrier + curl(psi)``) and its
+    vorticity.  ``(psi.values, omega.values)`` is a warm start for
+    :func:`solve`; ``to_dict`` leaves both out.
     """
 
     u: VelocityField
@@ -132,6 +136,8 @@ class SolveReport:
     boundary_pressure_deviation: float
     pressure_info: dict
     method: str
+    psi: ScalarField
+    omega: ScalarField
 
     def to_dict(self) -> dict:
         return {
@@ -480,6 +486,7 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
         steps=steps, diagnostics=diag,
         boundary_pressure_deviation=boundary_pressures(p).deviation,
         pressure_info=pinfo, method=cfg.method,
+        psi=ScalarField(grid, psi), omega=ScalarField(grid, omega),
     )
 
 
@@ -540,7 +547,8 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
 
     For a flux sweep the zero-flux remainder of the datum stays fixed and
     the carrier's flux takes the swept value, so the clamped stream data
-    never changes and the previous state remains an admissible warm start.
+    never changes.  Each point warm-starts from the previous converged
+    point's solver state, ``(report.psi, report.omega)``.
     On a failed point one bisection level is attempted (solve the midpoint,
     then retry); if the point still fails it is recorded as diverged and
     the sweep continues from the last converged state.
@@ -575,20 +583,13 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
             points.append(SweepPoint(midpoint, mid_report.J, mid_report.converged,
                                      mid_report.iterations))
             if mid_report.converged:
-                warm = _report_state(mid_report, grid)
+                warm = (mid_report.psi.values, mid_report.omega.values)
                 report = run(value, warm)
         points.append(SweepPoint(value, report.J, report.converged, report.iterations))
         if report.converged:
-            warm = _report_state(report, grid)
+            warm = (report.psi.values, report.omega.values)
             last_value = value
     return ContinuationTrace(parameter=parameter, points=points)
-
-
-def _report_state(report: SolveReport, grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
-    carrier = flux_carrier(grid, report.flux)
-    psi = stream_function(report.u - carrier, flux_tol=1e-6, div_tol=1e-4)
-    omega = -scalar_laplacian(psi).values
-    return psi.values, omega
 
 
 # -- weak-form checks ---------------------------------------------------------------

@@ -190,7 +190,7 @@ class AmickProfile:
 
 
 def make_profile(spec) -> AmickProfile:
-    """Profile from a configuration mapping (the JSON ``oracle`` block)."""
+    """Profile from a mapping such as ``AmickProfile.to_dict`` returns."""
     spec = dict(spec)
     kind = spec.pop("kind")
     lambda0 = float(spec.pop("lambda0", 1.0))

@@ -200,23 +200,3 @@ def pressure_from_momentum(grid: PolarGrid, u: VelocityField, lam: float, nu: fl
         "gradient_mismatch": mismatch,
     }
     return pressure, info
-
-
-def stokes_weak_residual(grid: PolarGrid, solution: StokesSolution,
-                         n_radial: int = 4, n_angular: int = 3) -> float:
-    """Max of the Stokes weak form against a clamped divergence-free test family.
-
-    Test fields are curls of (1-x^2)^2 T_m(x) {cos,sin}(n theta); the
-    residual integral is normalized by the test Dirichlet norm.
-    """
-    from .testspace import divergence_free_test_fields
-    from .fields import grad_inner
-
-    u = solution.velocity
-    worst = 0.0
-    for eta in divergence_free_test_fields(grid, n_radial, n_angular):
-        res = integrate(grid, grad_inner(u, eta))
-        norm = dirichlet_norm(eta)
-        if norm > 0:
-            worst = max(worst, abs(res) / norm)
-    return worst

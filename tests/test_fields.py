@@ -178,7 +178,7 @@ def test_velocity_csv_round_trip(tmp_path, grid):
     assert header == "r,theta,u_r,u_theta"
     assert "0.3333333333333333" in first or "2" in first  # 17 significant digits present
     back = read_velocity_csv(path)
-    assert back.grid.same_as(grid)
+    assert back.grid == grid
     assert np.max(np.abs(back.u_r.values - u.u_r.values)) < 1e-15
     assert np.max(np.abs(back.u_theta.values - u.u_theta.values)) < 1e-15
 

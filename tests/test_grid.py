@@ -12,7 +12,12 @@ import pytest
 
 from annulus_flux import ScalarField, build_grid, integrate, read_velocity_csv
 from annulus_flux.cli import main
-from annulus_flux.grid import chebyshev_diff_matrix, clenshaw_curtis_weights, factor_blocks
+from annulus_flux.grid import (
+    PolarGrid,
+    chebyshev_diff_matrix,
+    clenshaw_curtis_weights,
+    factor_blocks,
+)
 
 
 def test_canonical_annulus_areas():
@@ -99,6 +104,15 @@ def test_integrate_rejects_grid_mismatch(grid):
     f = ScalarField.from_function(other, lambda r, t: r)
     with pytest.raises(ValueError, match="different grid"):
         integrate(grid, f)
+
+
+def test_grids_compare_and_hash_by_parameters():
+    shared = build_grid(16, 8, 1.0, 2.0)
+    direct = PolarGrid(16, 8, 1.0, 2.0)
+    assert direct is not shared
+    assert direct == shared
+    assert hash(direct) == hash(shared)
+    assert build_grid(16, 8, 1.0, 3.0) != shared
 
 
 def test_grid_arrays_immutable(grid):

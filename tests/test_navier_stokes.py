@@ -366,6 +366,28 @@ class TestNewtonKrylov:
         assert {step["kind"] for step in report.steps} == {"picard-fallback"}
         assert report.to_dict()["steps"][0] == {"kind": "picard-fallback"}
 
+    def test_report_carries_solver_state(self, grid):
+        trace = NONAXI_CASES["couette_k2_32x16"][1]
+        rep = solve(grid, trace, NEWTON)
+        assert rep.converged and rep.steps[0]["kind"] == "krylov"
+        assert not rep.psi.values.flags.writeable
+        assert not rep.omega.values.flags.writeable
+        assert "psi" not in rep.to_dict() and "omega" not in rep.to_dict()
+        # u = u_F + curl(psi) for the solver's own iterate
+        rebuilt = flux_carrier(grid, rep.flux) + curl_of_stream(rep.psi)
+        scale = max(np.max(np.abs(rep.u.u_r.values)), np.max(np.abs(rep.u.u_theta.values)))
+        assert np.max(np.abs(rebuilt.u_r.values - rep.u.u_r.values)) <= 1e-14 * scale
+        assert np.max(np.abs(rebuilt.u_theta.values - rep.u.u_theta.values)) <= 1e-14 * scale
+
+    def test_warm_start_from_report_state_is_converged(self, grid):
+        trace = NONAXI_CASES["couette_k2_32x16"][1]
+        rep = solve(grid, trace, NEWTON)
+        again = solve(grid, trace, NEWTON, warm_start=(rep.psi.values, rep.omega.values))
+        assert again.converged
+        assert again.iterations == 1
+        assert again.steps[0]["kind"] == "krylov"
+        assert velocity_l2_norm(again.u - rep.u) < 1e-12
+
     def test_step_kinds_recorded(self, grid, spiral_setting):
         trace = spiral_setting[0]
         modal = solve(grid, trace, NEWTON)

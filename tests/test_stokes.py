@@ -26,9 +26,8 @@ from annulus_flux import (
     stokes_solve,
 )
 from annulus_flux.fields import l2_norm, velocity_l2_norm
-from annulus_flux.navier_stokes import SolverConfig, _Problem
+from annulus_flux.navier_stokes import SolverConfig, _Problem, weak_residual
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
-from annulus_flux.stokes import stokes_weak_residual
 
 
 def couette_field(grid, omega1, omega2):
@@ -59,9 +58,10 @@ def test_stokes_zero_data(grid):
 
 def test_stokes_weak_identity(grid):
     # weak form of the auxiliary problem: grad(U) orthogonal to the
-    # divergence-free zero-trace test space
+    # divergence-free zero-trace test space; the homotopy weak form at
+    # lambda = 0 with w = U is exactly that Stokes form
     sol = stokes_solve(grid, spiral_trace(1.0, 1.0, 1.0))
-    assert stokes_weak_residual(grid, sol) < 1e-8
+    assert weak_residual(grid, sol.velocity, sol.velocity, SolverConfig(lam=0.0)) < 1e-8
 
 
 def test_stokes_linearity(grid):
