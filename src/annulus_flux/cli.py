@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 non-convergence (the report
 is still written), 3 invalid configuration or input.  Reports are written
-deterministically (sorted keys, repr floats); wall-clock metadata goes to a
-separate run_meta.json so repeated runs of the same configuration produce
-byte-identical reports.
+deterministically (sorted keys, repr floats); wall-clock metadata, with the
+seconds spent solving and writing, goes to a separate run_meta.json so
+repeated runs of the same configuration produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -143,12 +143,16 @@ def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_meta(out: Path, command: str) -> None:
-    _dump_json(out / "run_meta.json", {
+def _write_meta(out: Path, command: str, phases: dict[str, float] | None = None) -> None:
+    """run_meta.json: the command, version, time stamp and wall seconds per phase."""
+    meta = {
         "command": command,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    })
+    }
+    if phases is not None:
+        meta["phases"] = phases
+    _dump_json(out / "run_meta.json", meta)
 
 
 def cmd_solve(args) -> int:
@@ -159,13 +163,16 @@ def cmd_solve(args) -> int:
         return EXIT_BAD_CONFIG
     out = Path(args.out or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     report = solve(config.grid, config.trace, config.solver)
+    solved = time.perf_counter()
     if "json" in config.formats:
         _dump_json(out / "report.json", report.to_dict())
     if "csv" in config.formats:
         write_velocity_csv(out / "fields.csv", report.u)
         write_scalar_csv(out / "pressure.csv", report.p)
-    _write_meta(out, "solve")
+    _write_meta(out, "solve", {"solve_s": solved - start,
+                               "write_s": time.perf_counter() - solved})
     if not args.quiet:
         state = "converged" if report.converged else "NOT converged"
         print(f"solve {state} in {report.iterations} iterations: "
@@ -191,10 +198,13 @@ def cmd_sweep(args) -> int:
         return EXIT_BAD_CONFIG
     out = Path(args.out or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     trace = sweep(config.grid, config.trace, config.solver,
                   config.sweep_parameter, config.sweep_values)
+    swept = time.perf_counter()
     _trace_csv(out / "trace.csv", trace)
-    _write_meta(out, "sweep")
+    _write_meta(out, "sweep", {"sweep_s": swept - start,
+                               "write_s": time.perf_counter() - swept})
     if not args.quiet:
         for pt in trace.points:
             flag = "ok" if pt.converged else "DIVERGED"

@@ -32,7 +32,9 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        # always a private copy: freezing the caller's own array would make it
+        # read-only for them, and their later writes would change this field
+        values = np.array(self.values, dtype=float, order="C")
         if values.shape != (self.grid.n_r, self.grid.n_theta):
             raise ValueError(
                 f"scalar field shape {values.shape} does not match grid "
@@ -306,27 +308,30 @@ _FMT = "%.17g"
 
 def write_velocity_csv(path, u: VelocityField) -> None:
     """Nodal dump with columns r,theta,u_r,u_theta; radial index is the slow one."""
-    g = u.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta", "u_r", "u_theta"])
-        for i in range(g.n_r):
-            for j in range(g.n_theta):
-                writer.writerow([
-                    _FMT % g.r[i], _FMT % g.theta[j],
-                    _FMT % u.u_r.values[i, j], _FMT % u.u_theta.values[i, j],
-                ])
+    _write_nodal_csv(path, u.grid, ("r", "theta", "u_r", "u_theta"),
+                     (u.u_r.values, u.u_theta.values))
 
 
 def write_scalar_csv(path, f: ScalarField) -> None:
     """Nodal dump with columns r,theta,value; radial index is the slow one."""
-    g = f.grid
+    _write_nodal_csv(path, f.grid, ("r", "theta", "value"), (f.values,))
+
+
+def _write_nodal_csv(path, grid: PolarGrid, header, columns) -> None:
+    """Write ``columns`` node by node in ``%.17g``, with CRLF line ends.
+
+    One ``%`` call fills a ring's row template; the file is written ring by
+    ring, so no more than one ring of text is held at a time.
+    """
+    placeholders = ",".join([_FMT] * len(columns))
+    rows = [f",{_FMT % theta},{placeholders}\r\n" for theta in grid.theta]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta", "value"])
-        for i in range(g.n_r):
-            for j in range(g.n_theta):
-                writer.writerow([_FMT % g.r[i], _FMT % g.theta[j], _FMT % f.values[i, j]])
+        fh.write(",".join(header) + "\r\n")
+        for i, r in enumerate(grid.r):
+            r_text = _FMT % r
+            template = "".join([r_text + row for row in rows])
+            ring = np.stack([column[i] for column in columns], axis=-1)
+            fh.write(template % tuple(ring.ravel().tolist()))
 
 
 def read_velocity_csv(path) -> VelocityField:

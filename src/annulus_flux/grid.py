@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 
 def chebyshev_diff_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +99,7 @@ class PolarGrid:
         Omega_1 (disk bounded by Gamma_1) and Omega_2 (hole).
     mode_laplacians : (n_modes, n_r, n_r) stack of Lap_k.
     stream_lu, dirichlet_lu, neumann_lu : (lu, piv) stacks of the per-mode
-        systems, for one batched ``scipy.linalg.lu_solve``.
+        systems, for :func:`solve_blocks`.
     """
 
     n_r: int
@@ -313,8 +313,7 @@ def _block_stack(count: int, size: int, dtype=float) -> np.ndarray:
 def factor_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU factors of a stack of per-mode matrices, overwriting ``blocks``.
 
-    Returns read-only ``(lu, piv)`` stacks for one batched
-    ``scipy.linalg.lu_solve``.
+    Returns read-only ``(lu, piv)`` stacks for :func:`solve_blocks`.
 
     Raises
     ------
@@ -330,6 +329,25 @@ def factor_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocks.setflags(write=False)
     piv.setflags(write=False)
     return blocks, piv
+
+
+def solve_blocks(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve each factored block of ``factors`` for the matching slice of ``rhs``.
+
+    ``rhs`` stacks one right-hand side per block, a vector or a matrix of
+    columns.  One LAPACK ``getrs`` per block, the routine
+    ``scipy.linalg.lu_solve`` calls, so each slice of the C-ordered result is
+    bit-identical to ``scipy.linalg.lu_solve`` on that block.  Nothing is
+    checked for finiteness: a non-finite input gives a non-finite result.
+    """
+    lu, piv = factors
+    getrs, = get_lapack_funcs(("getrs",), (lu, rhs))
+    out = np.empty(rhs.shape, dtype=getrs.dtype)
+    for k, b in enumerate(rhs):
+        out[k], info = getrs(lu[k], piv[k], b)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+    return out
 
 
 def integrate(grid: PolarGrid, f) -> float:

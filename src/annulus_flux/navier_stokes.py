@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .boundary import BoundaryTrace, flux_carrier, pure_flux_trace
 from .diagnostics import DiagnosticsRecord, boundary_pressures, diagnostics_for_solution
@@ -56,7 +55,7 @@ from .fields import (
     stream_function,
     trilinear,
 )
-from .grid import PolarGrid, factor_blocks, integrate
+from .grid import PolarGrid, factor_blocks, integrate, solve_blocks
 from .stokes import StreamBC, pressure_from_momentum, solve_stream_system
 from .testspace import divergence_free_test_fields
 
@@ -354,8 +353,7 @@ class _Problem:
             raise NewtonSingularError(self.cfg.lam, self.flux) from exc
 
         def precondition(v: np.ndarray) -> np.ndarray:
-            return self.apply_modal(lambda rhs: lu_solve(
-                factors, rhs[..., None], check_finite=False)[..., 0], v)
+            return self.apply_modal(lambda rhs: solve_blocks(factors, rhs), v)
 
         step = precondition(-res)
         # F sums terms the size of omega and of Lap(omega): below eps times

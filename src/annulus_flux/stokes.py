@@ -4,7 +4,7 @@ Everything here reduces to independent boundary-value problems in r, one per
 angular Fourier mode: dense collocation matrices with boundary rows replaced.
 The grid assembles each family as one stack of per-mode blocks and holds its
 batched LU factors; a solve builds the stack of modal right-hand sides and
-applies the factors with one batched ``lu_solve``.
+applies the factors with one ``solve_blocks`` call.
 
 The Stokes problem is solved in stream-function form.  Writing the velocity
 as flux carrier plus curl(psi), psi is biharmonic; per mode this is the
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .boundary import BoundaryTrace, boundary_stream_data, flux_carrier
 from .fields import (
@@ -49,7 +48,7 @@ from .fields import (
     vector_laplacian,
     velocity_l2_norm,
 )
-from .grid import PolarGrid, integrate
+from .grid import PolarGrid, integrate, solve_blocks
 
 @dataclass(frozen=True)
 class StreamBC:
@@ -141,9 +140,16 @@ def _solve_modal(factors, rhs_modes: np.ndarray) -> np.ndarray:
 
     The result is C-contiguous: ``from_modes`` rounds differently on a
     transposed view.
+
+    Raises
+    ------
+    ValueError
+        If the right-hand side is not finite.
     """
     rhs = np.stack([rhs_modes.real.T, rhs_modes.imag.T], axis=-1)
-    sol = lu_solve(factors, rhs)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("modal right-hand side contains infs or NaNs")
+    sol = solve_blocks(factors, rhs)
     return np.ascontiguousarray((sol[..., 0] + 1j * sol[..., 1]).T)
 
 

@@ -29,6 +29,12 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+def assert_phases(out, keys):
+    phases = json.loads((out / "run_meta.json").read_text())["phases"]
+    assert sorted(phases) == sorted(keys)
+    assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+
+
 class TestSolve:
     def test_couette_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -39,7 +45,7 @@ class TestSolve:
         assert report["diagnostics"]["bernoulli_deviation"] < 1e-8
         assert (tmp_path / "out" / "fields.csv").exists()
         assert (tmp_path / "out" / "pressure.csv").exists()
-        assert (tmp_path / "out" / "run_meta.json").exists()
+        assert_phases(tmp_path / "out", ["solve_s", "write_s"])
 
     def test_nonconvergence_exit_code_keeps_report(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -108,6 +114,7 @@ class TestSweep:
         assert float(first["value"]) == 0.0
         assert float(first["J"]) < 1e-12  # the homotopy endpoint row
         assert all(row["converged"] == "1" for row in rows)
+        assert_phases(out, ["sweep_s", "write_s"])
 
     def test_flux_sweep_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {

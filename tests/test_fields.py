@@ -6,6 +6,8 @@ plus the closed form sqrt(6 pi) for rigid rotation on the (1, 2) annulus
 (|grad u|^2 = 2 there).
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from annulus_flux.fields import (
     l2_norm,
     trilinear,
     velocity_l2_norm,
+    write_scalar_csv,
 )
 from annulus_flux.testspace import divergence_free_test_fields
 
@@ -181,6 +184,57 @@ def test_velocity_csv_round_trip(tmp_path, grid):
     assert back.grid == grid
     assert np.max(np.abs(back.u_r.values - u.u_r.values)) < 1e-15
     assert np.max(np.abs(back.u_theta.values - u.u_theta.values)) < 1e-15
+
+
+def reference_csv(path, grid, header, columns):
+    """Reference writer: one csv.writer row of %.17g strings per node."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(grid.n_r):
+            for j in range(grid.n_theta):
+                writer.writerow(["%.17g" % grid.r[i], "%.17g" % grid.theta[j]]
+                                + ["%.17g" % column[i, j] for column in columns])
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (9, 6)])
+def test_csv_writers_match_csv_module_reference(tmp_path, shape):
+    g = build_grid(*shape, 1.0, 2.0)
+    special = [-0.0, 5e-324, 1e-300, 1.0, 1e16, 1.0 / 3.0, -2.5e-7]
+    rng = np.random.default_rng(5)
+    u_r = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    u_theta = -np.roll(u_r, 1)
+    u_r.flat[:len(special)] = special
+    u_theta.flat[-len(special):] = special
+    u = VelocityField.from_arrays(g, u_r, u_theta)
+
+    write_velocity_csv(tmp_path / "fields.csv", u)
+    reference_csv(tmp_path / "want-fields.csv", g, ["r", "theta", "u_r", "u_theta"],
+                  [u_r, u_theta])
+    got = (tmp_path / "fields.csv").read_bytes()
+    assert got == (tmp_path / "want-fields.csv").read_bytes()
+    assert got.startswith(b"r,theta,u_r,u_theta\r\n")
+    assert got.count(b"\r\n") == g.n_r * g.n_theta + 1
+
+    write_scalar_csv(tmp_path / "pressure.csv", u.u_theta)
+    reference_csv(tmp_path / "want-pressure.csv", g, ["r", "theta", "value"], [u_theta])
+    assert (tmp_path / "pressure.csv").read_bytes() == \
+        (tmp_path / "want-pressure.csv").read_bytes()
+
+    back = read_velocity_csv(tmp_path / "fields.csv")
+    assert back.grid == g
+    assert np.array_equal(back.u_r.values, u_r) and np.array_equal(back.u_theta.values, u_theta)
+    assert np.array_equal(np.signbit(back.u_r.values), np.signbit(u_r))
+
+
+def test_scalar_field_leaves_caller_array_writeable():
+    g = build_grid(8, 4, 1.0, 2.0)
+    a = np.zeros((8, 4))
+    field = ScalarField(g, a)
+    assert a.flags.writeable
+    assert not field.values.flags.writeable
+    a[0, 0] = 1.0
+    assert field.values[0, 0] == 0.0
 
 
 def test_scalar_field_rejects_nonfinite(grid):

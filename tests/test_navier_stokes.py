@@ -7,6 +7,7 @@ quadrature against a divergence-free zero-trace test family.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,6 +366,37 @@ class TestNewtonKrylov:
         assert report.converged
         assert {step["kind"] for step in report.steps} == {"picard-fallback"}
         assert report.to_dict()["steps"][0] == {"kind": "picard-fallback"}
+
+    def test_nonfinite_preconditioner_input_falls_back_to_picard(self, grid, monkeypatch):
+        # the preconditioner's block solves do not check their input: a NaN
+        # in the residual comes out of them and is caught as a singular step
+        residual = _Problem.residual
+
+        def poisoned(self, psi, omega):
+            res, u = residual(self, psi, omega)
+            res = res.copy()
+            res[0, 1, 0] = np.nan
+            return res, u
+
+        monkeypatch.setattr(_Problem, "residual", poisoned)
+        problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
+        with pytest.raises(NewtonSingularError):
+            problem.newton_update(psi, omega)
+        report = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], replace(NEWTON, max_iter=2))
+        assert report.steps == [{"kind": "picard-fallback"}] * 2
+
+    def test_unapplied_warm_start_leaves_caller_arrays_writeable(self, grid, monkeypatch):
+        # with a zero blow-up factor every step is rejected, so the report
+        # holds the warm-start state itself
+        monkeypatch.setattr(navier_stokes, "BLOWUP_FACTOR", 0.0)
+        trace = NONAXI_CASES["couette_k2_32x16"][1]
+        psi, omega = _Problem.from_trace(grid, trace, NEWTON).stokes_state()
+        report = solve(grid, trace, NEWTON, warm_start=(psi, omega))
+        assert report.iterations == 0 and not report.converged
+        assert psi.flags.writeable and omega.flags.writeable
+        assert np.array_equal(report.psi.values, psi)
+        psi[0, 0] += 1.0
+        assert not np.array_equal(report.psi.values, psi)
 
     def test_report_carries_solver_state(self, grid):
         trace = NONAXI_CASES["couette_k2_32x16"][1]

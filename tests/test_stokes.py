@@ -26,8 +26,10 @@ from annulus_flux import (
     stokes_solve,
 )
 from annulus_flux.fields import l2_norm, velocity_l2_norm
+from annulus_flux.grid import factor_blocks, solve_blocks
 from annulus_flux.navier_stokes import SolverConfig, _Problem, weak_residual
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
+from annulus_flux.stokes import StreamBC, solve_stream_system
 
 
 def couette_field(grid, omega1, omega2):
@@ -223,3 +225,30 @@ def test_modal_jacobian_at_lambda_zero_is_stream_blocks(grid):
     stream = np.stack(reference_blocks(grid)[0])
     assert np.array_equal(grid.stream_blocks(), stream)
     assert np.array_equal(blocks, stream)
+
+
+def test_solve_blocks_matches_lu_solve_per_block(grid):
+    rng = np.random.default_rng(7)
+    tr = couette_trace(1.0, 0.0) + fourier_trace(
+        1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
+    problem = _Problem.from_trace(grid, tr, SolverConfig())
+    psi, omega = problem.stokes_state()
+    complex_factors = factor_blocks(problem.modal_jacobian(problem.velocity(psi), omega))
+    for lu, piv in (grid.stream_lu, grid.neumann_lu, complex_factors):
+        for shape in ((len(lu), lu.shape[1], 2), (len(lu), lu.shape[1])):
+            b = rng.standard_normal(shape)
+            if np.iscomplexobj(lu):
+                b = b + 1j * rng.standard_normal(shape)
+            got = solve_blocks((lu, piv), b)
+            assert got.shape == b.shape and got.dtype == lu.dtype
+            for k in range(len(lu)):
+                assert np.array_equal(got[k], lu_solve((lu[k], piv[k]), b[k]))
+
+
+def test_stream_solve_rejects_nonfinite_rhs(grid):
+    zero = np.zeros(grid.n_theta)
+    bc = StreamBC(zero, zero, zero, zero)
+    rhs = np.zeros((grid.n_r, grid.n_theta))
+    rhs[grid.n_r // 2, 3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_stream_system(grid, bc, rhs)
