@@ -313,16 +313,22 @@ def _block_stack(count: int, size: int, dtype=float) -> np.ndarray:
 def factor_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU factors of a stack of per-mode matrices, overwriting ``blocks``.
 
-    Returns read-only ``(lu, piv)`` stacks for :func:`solve_blocks`.
+    One LAPACK ``getrf`` per block, the routine ``scipy.linalg.lu_factor``
+    calls.  Returns read-only ``(lu, piv)`` stacks for :func:`solve_blocks`;
+    an exactly singular block is factored without complaint and gives a
+    non-finite solve.
 
     Raises
     ------
     ValueError
         Naming the first angular mode whose factor is not finite.
     """
+    getrf, = get_lapack_funcs(("getrf",), (blocks,))
     piv = np.empty(blocks.shape[:2], dtype=np.int32)
     for k, block in enumerate(blocks):
-        lu, piv[k] = lu_factor(block, overwrite_a=True, check_finite=False)
+        lu, piv[k], info = getrf(block, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrf")
         if not np.all(np.isfinite(lu)):
             raise ValueError(f"ill-conditioned collocation system at angular mode {k}")
         blocks[k] = lu  # no copy for Fortran-ordered slices, which LAPACK overwrites

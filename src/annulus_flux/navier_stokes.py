@@ -17,15 +17,16 @@ Two linearizations are provided.  The Picard map freezes the whole
 convective term at the current iterate and solves a biharmonic problem per
 angular mode (prefactored operators, linear convergence).  The Newton map
 differentiates both convection slots; its residual is kept in the modal
-layout of the per-mode systems.  About a rotationally symmetric state the
-per-mode Jacobian is exact and the step is one direct solve per mode.
-Otherwise the step is Jacobian-free Newton-Krylov (Knoll & Keyes, J. Comput.
-Phys. 193, 2004): GMRES on the analytic Jacobian-vector product, built from
-the residual's own FFT and radial operators, right-preconditioned by the
-per-mode Jacobian about the angular mean, factored once per step.  GMRES
-runs to a relative 1e-10, floored at the residual's rounding level; a miss
-within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.  Memory is
-n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1 Krylov vectors.
+layout of the per-mode systems.  Every Newton step is Jacobian-free
+Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004): GMRES on the
+analytic Jacobian-vector product, built from the residual's own FFT and
+radial operators, right-preconditioned by the per-mode Jacobian about the
+angular mean, factored once per step.  About a rotationally symmetric state
+that preconditioner is the exact Jacobian and GMRES takes no iterations.
+GMRES runs to a relative 1e-10, floored at the residual's rounding level; a
+miss within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.
+Memory is n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1 Krylov
+vectors.
 
 Convergence is measured by the Dirichlet norm of the velocity update
 relative to max(1, J): for Picard this is the fixed-point defect, for
@@ -37,7 +38,7 @@ last finite iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,8 +113,9 @@ class SolverConfig:
 class SolveReport:
     """Converged (or final) state of a nonlinear solve with its diagnostics.
 
-    ``steps`` records each iteration's ``kind``: ``modal``, ``krylov`` (with
-    ``gmres_iterations``), ``picard`` or ``picard-fallback``.  ``psi`` and
+    ``steps`` records each iteration's ``kind``: ``krylov`` (with
+    ``gmres_iterations``, 0 about a rotationally symmetric state),
+    ``picard`` or ``picard-fallback``.  ``psi`` and
     ``omega`` are the solver's final iterate, read only: the stream function
     of the zero-flux part (``u = flux_carrier + curl(psi)``) and its
     vorticity.  ``(psi.values, omega.values)`` is a warm start for
@@ -232,18 +234,6 @@ class _Problem:
 
     # -- Newton ---------------------------------------------------------------
 
-    def is_rotationally_symmetric(self, psi: np.ndarray, omega: np.ndarray) -> bool:
-        for arr in (psi, omega, self.bc.psi_outer, self.bc.dpsi_outer,
-                    self.bc.psi_inner, self.bc.dpsi_inner):
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            if arr.ndim == 2:
-                dev = arr - arr.mean(axis=-1, keepdims=True)
-            else:
-                dev = arr - arr.mean()
-            if float(np.max(np.abs(dev))) > 1e-11 * scale:
-                return False
-        return True
-
     def residual(self, psi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, VelocityField]:
         """Newton residual F in the modal layout, with the velocity of psi.
 
@@ -294,8 +284,8 @@ class _Problem:
     def modal_jacobian(self, u: VelocityField, omega: np.ndarray) -> np.ndarray:
         """Per-mode Newton blocks about the angular-mean state, (n_modes, 2 n_r, 2 n_r).
 
-        The exact Jacobian about a rotationally symmetric state, otherwise
-        the preconditioner of the Krylov solve.  The stream blocks of the
+        The preconditioner of the Krylov solve, and the exact Jacobian about
+        a rotationally symmetric state.  The stream blocks of the
         grid (the layout of :meth:`residual`: the rows of F[0], then those of
         F[1]) plus the linearized convection and side-condition terms.
         """
@@ -317,57 +307,43 @@ class _Problem:
         m.imag[:, n + inner, inner] += (-self.ratio * k) * (domega0 / g.r)[inner]
         return m
 
-    def apply_modal(self, solve: Callable, res: np.ndarray) -> np.ndarray:
-        """Nodal (dpsi, domega) from the block solutions ``solve`` returns for ``res``.
-
-        ``solve`` maps stacked right-hand sides (n_modes, 2 n_r) to solutions.
-        """
+    def apply_modal(self, factors: tuple[np.ndarray, np.ndarray], res: np.ndarray) -> np.ndarray:
+        """Nodal (dpsi, domega) from the factored :meth:`modal_jacobian` blocks and ``res``."""
         g = self.grid
-        sol = solve(res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r))
+        sol = solve_blocks(factors, res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r))
         step = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
         if not np.all(np.isfinite(step)):
             raise NewtonSingularError(self.cfg.lam, self.flux)
         return step
 
     def newton_update(self, psi: np.ndarray, omega: np.ndarray):
-        """Newton step (dpsi, domega) and its record ``{"kind": ...}``.
+        """Newton step (dpsi, domega) and its record ``{"kind": "krylov", ...}``.
 
-        The modal Jacobian P is exact about a rotationally symmetric state
-        (kind ``modal``); otherwise P, factored once, right-preconditions
-        GMRES started from P^-1(-F) (kind ``krylov``).  Raises
-        NewtonSingularError on a singular block or a GMRES miss.
+        The modal Jacobian P, factored once, right-preconditions GMRES
+        started from P^-1(-F).  P is exact about a rotationally symmetric
+        state, where GMRES takes 0 iterations.  Raises NewtonSingularError
+        on a singular block or a GMRES miss.
         """
         res, u = self.residual(psi, omega)
-        blocks = self.modal_jacobian(u, omega)
-        if self.is_rotationally_symmetric(psi, omega):
-            try:
-                step = self.apply_modal(
-                    lambda rhs: np.linalg.solve(blocks, rhs[..., None])[..., 0], -res)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonSingularError(self.cfg.lam, self.flux) from exc
-            return step[0], step[1], {"kind": "modal"}
-
         try:
-            factors = factor_blocks(blocks)
+            factors = factor_blocks(self.modal_jacobian(u, omega))
         except ValueError as exc:
             raise NewtonSingularError(self.cfg.lam, self.flux) from exc
 
-        def precondition(v: np.ndarray) -> np.ndarray:
-            return self.apply_modal(lambda rhs: solve_blocks(factors, rhs), v)
-
-        step = precondition(-res)
+        step = self.apply_modal(factors, -res)
         # F sums terms the size of omega and of Lap(omega): below eps times
         # their size it is rounding, so no tighter linear solve is useful
         terms = self.grid.to_modes(np.stack([omega, _laplacian(self.grid, omega)]))
         floor = np.finfo(float).eps * float(np.linalg.norm(terms))
         target = max(KRYLOV_RTOL * float(np.linalg.norm(res)), floor)
         rhs = -res - self.jacobian(u, omega, step)
-        solved = _gmres(lambda v: self.jacobian(u, omega, precondition(v)),
+        solved = _gmres(lambda v: self.jacobian(u, omega, self.apply_modal(factors, v)),
                         rhs, target, KRYLOV_MAX_ITER)
         if solved is None:
             raise NewtonSingularError(self.cfg.lam, self.flux)
         correction, count = solved
-        step = step + precondition(correction)
+        if count:  # at 0 iterations the correction is zero
+            step = step + self.apply_modal(factors, correction)
         return step[0], step[1], {"kind": "krylov", "gmres_iterations": count}
 
 
@@ -407,17 +383,33 @@ def _gmres(apply: Callable, rhs: np.ndarray, target: float, max_iter: int):
 # -- iteration drivers --------------------------------------------------------------
 
 
-def _iterate(problem: _Problem, psi0: np.ndarray, omega0: np.ndarray,
-             on_iterate: Callable | None = None):
-    """Run the configured iteration from (psi0, omega0).
+class _Solution(NamedTuple):
+    """A solve up to J, before its pressure and diagnostics."""
 
-    Returns (psi, omega, history, steps, converged, iterations).  On a
-    singular Newton Jacobian or a Krylov miss the step falls back to a damped
-    Picard sweep for that iteration, the documented robustness fallback near
-    turning points.  A non-finite or blown-up step is not applied: the
-    iteration stops, unconverged, at the last finite iterate.
+    u_stokes: VelocityField
+    u: VelocityField
+    w: VelocityField
+    J: float
+    psi: np.ndarray
+    omega: np.ndarray
+    history: list[float]
+    steps: list[dict]
+    converged: bool
+
+
+def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
+             on_iterate: Callable | None = None,
+             warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> _Solution:
+    """Run the configured iteration from the Stokes state or ``warm_start``; measure J.
+
+    On a singular Newton Jacobian or a Krylov miss the step falls back to a
+    damped Picard sweep for that iteration, the documented robustness
+    fallback near turning points.  A non-finite or blown-up step is not
+    applied: the iteration stops, unconverged, at the last finite iterate.
     """
-    cfg = problem.cfg
+    problem = _Problem.from_trace(grid, trace, cfg)
+    psi_stokes, omega_stokes = problem.stokes_state()
+    psi0, omega0 = warm_start if warm_start is not None else (psi_stokes, omega_stokes)
     psi, omega = psi0, omega0
     history: list[float] = []
     steps: list[dict] = []
@@ -451,7 +443,10 @@ def _iterate(problem: _Problem, psi0: np.ndarray, omega0: np.ndarray,
         if defect < cfg.tol:
             converged = True
             break
-    return psi, omega, history, steps, converged, len(history)
+    u_stokes = problem.velocity(psi_stokes)
+    u = problem.velocity(psi)
+    w = u - u_stokes
+    return _Solution(u_stokes, u, w, dirichlet_norm(w), psi, omega, history, steps, converged)
 
 
 def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
@@ -464,27 +459,19 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     The prescribed flux is carried exactly at every iterate because the
     carrier never enters the iteration.
     """
-    problem = _Problem.from_trace(grid, trace, cfg)
-    psi_stokes, omega_stokes = problem.stokes_state()
-    u_stokes = problem.velocity(psi_stokes)
-    psi0, omega0 = warm_start if warm_start is not None else (psi_stokes, omega_stokes)
-    psi, omega, history, steps, converged, iterations = _iterate(problem, psi0, omega0,
-                                                                 on_iterate)
-
-    u = problem.velocity(psi)
-    w = u - u_stokes
-    j = dirichlet_norm(w)
+    sol = _iterate(grid, trace, cfg, on_iterate, warm_start)
+    u, psi = sol.u, sol.psi
     p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu, full_output=True)
     psi_zero_flux = ScalarField(grid, psi - psi[-1, 0])
-    diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, u_stokes, w,
+    diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, sol.u_stokes, sol.w,
                                     psi=psi_zero_flux)
     return SolveReport(
-        u=u, w=w, p=p, J=j, flux=problem.flux, lam=cfg.lam, nu=cfg.nu,
-        iterations=iterations, converged=converged, residual_history=history,
-        steps=steps, diagnostics=diag,
+        u=u, w=sol.w, p=p, J=sol.J, flux=trace.flux, lam=cfg.lam, nu=cfg.nu,
+        iterations=len(sol.history), converged=sol.converged,
+        residual_history=sol.history, steps=sol.steps, diagnostics=diag,
         boundary_pressure_deviation=boundary_pressures(p).deviation,
         pressure_info=pinfo, method=cfg.method,
-        psi=ScalarField(grid, psi), omega=ScalarField(grid, omega),
+        psi=ScalarField(grid, psi), omega=ScalarField(grid, sol.omega),
     )
 
 
@@ -546,7 +533,9 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     For a flux sweep the zero-flux remainder of the datum stays fixed and
     the carrier's flux takes the swept value, so the clamped stream data
     never changes.  Each point warm-starts from the previous converged
-    point's solver state, ``(report.psi, report.omega)``.
+    point's solver state (the ``psi``, ``omega`` that :func:`solve` reports).
+    A point records J, convergence and the iteration count only: the
+    pressure and diagnostics of :func:`solve` are not computed.
     On a failed point one bisection level is attempted (solve the midpoint,
     then retry); if the point still fails it is recorded as diverged and
     the sweep continues from the last converged state.
@@ -564,28 +553,24 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     warm: tuple[np.ndarray, np.ndarray] | None = None
     last_value: float | None = None
 
-    def run(value: float, start) -> SolveReport:
+    def run(value: float, start) -> _Solution:
         if parameter == "lambda":
-            cfg_v = replace(cfg, lam=value)
-            trace_v = trace
-        else:
-            cfg_v = cfg
-            trace_v = remainder + pure_flux_trace(value, grid.r_inner, grid.r_outer)
-        return solve(grid, trace_v, cfg_v, warm_start=start)
+            return _iterate(grid, trace, replace(cfg, lam=value), warm_start=start)
+        trace_v = remainder + pure_flux_trace(value, grid.r_inner, grid.r_outer)
+        return _iterate(grid, trace_v, cfg, warm_start=start)
 
     for value in values:
-        report = run(value, warm)
-        if not report.converged and warm is not None and last_value is not None:
+        sol = run(value, warm)
+        if not sol.converged and warm is not None and last_value is not None:
             midpoint = 0.5 * (last_value + value)
-            mid_report = run(midpoint, warm)
-            points.append(SweepPoint(midpoint, mid_report.J, mid_report.converged,
-                                     mid_report.iterations))
-            if mid_report.converged:
-                warm = (mid_report.psi.values, mid_report.omega.values)
-                report = run(value, warm)
-        points.append(SweepPoint(value, report.J, report.converged, report.iterations))
-        if report.converged:
-            warm = (report.psi.values, report.omega.values)
+            mid = run(midpoint, warm)
+            points.append(SweepPoint(midpoint, mid.J, mid.converged, len(mid.history)))
+            if mid.converged:
+                warm = (mid.psi, mid.omega)
+                sol = run(value, warm)
+        points.append(SweepPoint(value, sol.J, sol.converged, len(sol.history)))
+        if sol.converged:
+            warm = (sol.psi, sol.omega)
             last_value = value
     return ContinuationTrace(parameter=parameter, points=points)
 

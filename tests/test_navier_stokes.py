@@ -290,6 +290,13 @@ class TestSweep:
         result = sweep(grid, trace, NEWTON, "flux", values)
         assert [pt.value for pt in result.points] == values
 
+    def test_sweep_skips_post_solve_pressure(self, grid):
+        # boundary data of size ~1e102 overflow the least-squares pressure that
+        # solve attaches; a sweep point needs only J and the solver state
+        result = sweep(grid, spiral_trace(-64.0, 1.0, 0.03), SolverConfig(nu=0.03), "flux",
+                       [-64.0])
+        assert [pt.value for pt in result.points] == [-64.0]
+
 
     def test_descending_negative_flux_exploratory(self, grid):
         # inflow exploration: convergence for strongly negative flux is an
@@ -422,10 +429,27 @@ class TestNewtonKrylov:
 
     def test_step_kinds_recorded(self, grid, spiral_setting):
         trace = spiral_setting[0]
-        modal = solve(grid, trace, NEWTON)
-        assert modal.steps == [{"kind": "modal"}] * modal.iterations
+        symmetric = solve(grid, trace, NEWTON)
+        assert symmetric.converged
+        exact = {"kind": "krylov", "gmres_iterations": 0}
+        assert symmetric.steps == [exact] * symmetric.iterations
         picard = solve(grid, trace, PICARD)
         assert picard.steps == [{"kind": "picard"}] * picard.iterations
         krylov = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], NEWTON)
         assert all(step["kind"] == "krylov" and step["gmres_iterations"] >= 1
                    for step in krylov.to_dict()["steps"])
+
+    def test_symmetric_state_takes_exact_modal_step(self, fine_grid):
+        # about a rotationally symmetric state the preconditioner is the exact
+        # Jacobian, so GMRES has nothing left to do
+        problem, psi, omega = self._state(fine_grid, spiral_trace(2 * np.pi, 1.0, 1.0))
+        dpsi, domega, record = problem.newton_update(psi, omega)
+        assert record == {"kind": "krylov", "gmres_iterations": 0}
+        g = fine_grid
+        res, u = problem.residual(psi, omega)
+        blocks = problem.modal_jacobian(u, omega)
+        rhs = -res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r)
+        sol = np.stack([np.linalg.solve(block, b) for block, b in zip(blocks, rhs)])
+        want = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
+        got = np.stack([dpsi, domega])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -9,7 +9,7 @@ substitution before the build.
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from annulus_flux import (
     ScalarField,
@@ -243,6 +243,19 @@ def test_solve_blocks_matches_lu_solve_per_block(grid):
             assert got.shape == b.shape and got.dtype == lu.dtype
             for k in range(len(lu)):
                 assert np.array_equal(got[k], lu_solve((lu[k], piv[k]), b[k]))
+
+
+def test_factor_blocks_matches_lu_factor_per_block(grid):
+    tr = couette_trace(1.0, 0.0) + fourier_trace(
+        1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
+    problem = _Problem.from_trace(grid, tr, SolverConfig())
+    psi, omega = problem.stokes_state()
+    for blocks in (grid.stream_blocks(), problem.modal_jacobian(problem.velocity(psi), omega)):
+        want = [lu_factor(block) for block in blocks]
+        lu, piv = factor_blocks(blocks)
+        for k, (lu_k, piv_k) in enumerate(want):
+            assert np.array_equal(lu[k], lu_k)
+            assert np.array_equal(piv[k], piv_k)
 
 
 def test_stream_solve_rejects_nonfinite_rhs(grid):
