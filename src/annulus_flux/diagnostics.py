@@ -20,7 +20,7 @@ identical across the angle, so the deviation vanishes to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -235,22 +235,7 @@ class DiagnosticsRecord:
                 raise ValueError(f"diagnostic entry {name} is not finite")
 
     def to_dict(self) -> dict:
-        return {
-            "p1": self.p1,
-            "p2": self.p2,
-            "phi_interior_sup": self.phi_interior_sup,
-            "phi_boundary_sup": self.phi_boundary_sup,
-            "max_principle_ok": self.max_principle_ok,
-            "max_principle_margin": self.max_principle_margin,
-            "bernoulli_deviation": self.bernoulli_deviation,
-            "identity26_lhs": self.identity26_lhs,
-            "identity26_rhs": self.identity26_rhs,
-            "identity32_lhs": self.identity32_lhs,
-            "identity32_rhs": self.identity32_rhs,
-            "identity37_lhs": self.identity37_lhs,
-            "identity37_rhs": self.identity37_rhs,
-            "euler_residual": self.euler_residual,
-        }
+        return asdict(self)
 
 
 def _assemble(grid: PolarGrid, u: VelocityField, p: ScalarField, lam: float, nu: float,

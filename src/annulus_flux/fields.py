@@ -201,42 +201,33 @@ def flux_through_circle(u: VelocityField, row: int) -> float:
     return float((u.u_r.values[row, :] * g.r[row]).sum() * g.w_theta)
 
 
-def grad_squared(u: VelocityField) -> ScalarField:
-    """Pointwise |grad u|^2 using the full covariant polar formula.
+def _gradient_frame(u: VelocityField) -> tuple[np.ndarray, ...]:
+    """The four orthonormal-frame components of the velocity gradient.
 
-    The four orthonormal-frame components of the velocity gradient are
-    du_r/dr, (1/r)du_r/dth - u_t/r, du_t/dr, (1/r)du_t/dth + u_r/r; with
-    them the quadrature of this field reproduces the Cartesian Dirichlet
-    integral.
+    du_r/dr, (1/r)du_r/dth - u_t/r, du_t/dr, (1/r)du_t/dth + u_r/r: the full
+    covariant polar formula, whose squares sum to |grad u|^2.
     """
     g = u.grid
     r = g.rr
     ur, ut = u.u_r.values, u.u_theta.values
-    a = g.diff_r(ur)
-    b = g.diff_theta(ur) / r - ut / r
-    c = g.diff_r(ut)
-    d = g.diff_theta(ut) / r + ur / r
-    return ScalarField(g, a * a + b * b + c * c + d * d)
+    return (
+        g.diff_r(ur),
+        g.diff_theta(ur) / r - ut / r,
+        g.diff_r(ut),
+        g.diff_theta(ut) / r + ur / r,
+    )
+
+
+def grad_squared(u: VelocityField) -> ScalarField:
+    """Pointwise |grad u|^2; its quadrature reproduces the Cartesian Dirichlet integral."""
+    a, b, c, d = _gradient_frame(u)
+    return ScalarField(u.grid, a * a + b * b + c * c + d * d)
 
 
 def grad_inner(u: VelocityField, v: VelocityField) -> ScalarField:
     """Pointwise contraction grad(u) : grad(v) in the orthonormal polar frame."""
     _check_same_grid(u, v)
-    g = u.grid
-    r = g.rr
-
-    def frame(field: VelocityField):
-        fr, ft = field.u_r.values, field.u_theta.values
-        return (
-            g.diff_r(fr),
-            g.diff_theta(fr) / r - ft / r,
-            g.diff_r(ft),
-            g.diff_theta(ft) / r + fr / r,
-        )
-
-    a = frame(u)
-    b = frame(v)
-    return ScalarField(g, sum(x * y for x, y in zip(a, b)))
+    return ScalarField(u.grid, sum(x * y for x, y in zip(_gradient_frame(u), _gradient_frame(v))))
 
 
 def dirichlet_norm(w: VelocityField) -> float:

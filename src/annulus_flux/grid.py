@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 
 def chebyshev_diff_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +143,6 @@ class PolarGrid:
         set_(self, "area_outer_disk", np.pi * self.r_outer**2)
         set_(self, "area_inner_disk", np.pi * self.r_inner**2)
 
-        # d/dr with the inner-boundary row pinned, prefactored; this is the
-        # radial antiderivative operator used for stream functions and
-        # pressure profiles.
-        anti = d_r.copy()
-        anti[-1, :] = 0.0
-        anti[-1, -1] = 1.0
-        set_(self, "_antiderivative_lu", lu_factor(anti))
-
         for name in ("r", "theta", "rr", "tt", "d_r", "d_rr", "w_r_line", "w_area"):
             getattr(self, name).setflags(write=False)
 
@@ -199,16 +191,28 @@ class PolarGrid:
         Solves d_r(F) = values with F(r_inner) = 0; spectrally exact for
         integrands resolved by the radial basis.  Works on 1d radial
         profiles or full (n_r, n_theta) arrays.
+
+        Raises
+        ------
+        ValueError
+            If ``values`` off the pinned inner row are not finite.
         """
         rhs = np.array(values, dtype=float, copy=True)
-        if rhs.ndim == 1:
-            rhs[-1] = 0.0
-        else:
-            rhs[-1, :] = 0.0
-        return lu_solve(self._antiderivative_lu, rhs)
+        rhs[-1] = 0.0
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("radial antiderivative of values containing infs or NaNs")
+        return solve_blocks(self._antiderivative_lu, rhs[None])[0]
 
     def angular_mean(self, values: np.ndarray) -> np.ndarray:
         return values.mean(axis=-1)
+
+    @functools.cached_property
+    def _antiderivative_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """One-block stack of d/dr with the inner row pinned, the antiderivative operator."""
+        anti = self.d_r.copy()
+        anti[-1, :] = 0.0
+        anti[-1, -1] = 1.0
+        return factor_blocks(anti[None])
 
     # -- per-mode operators -------------------------------------------------------
 

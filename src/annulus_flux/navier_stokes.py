@@ -13,11 +13,13 @@ single-valued pressure around the hole (see the stokes module).  lambda = 1
 is the physical problem and lambda = 0 the Stokes problem, so the family
 interpolates exactly the way the continuation argument sets it up.
 
-Two linearizations are provided.  The Picard map freezes the whole
-convective term at the current iterate and solves a biharmonic problem per
-angular mode (prefactored operators, linear convergence).  The Newton map
-differentiates both convection slots; its residual is kept in the modal
-layout of the per-mode systems.  Every Newton step is Jacobian-free
+Both iterations solve one discrete problem, the residual F in the modal
+layout of the per-mode systems.  A Picard step solves the prefactored stream
+blocks, the Jacobian at lambda = 0, for -F: the biharmonic problem per
+angular mode with the whole convective term frozen at the current iterate
+(linear convergence).  A Newton step differentiates both convection slots.
+At lambda = 0 the problem is the linear Stokes problem, and a solve returns
+the Stokes state after 0 iterations.  Every Newton step is Jacobian-free
 Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004): GMRES on the
 analytic Jacobian-vector product, built from the residual's own FFT and
 radial operators, right-preconditioned by the per-mode Jacobian about the
@@ -219,20 +221,12 @@ class _Problem:
         return vr * g.diff_r(wt) + vt * g.diff_theta(wt) / g.rr + vt * wr / g.rr
 
     def stokes_state(self) -> tuple[np.ndarray, np.ndarray]:
-        return solve_stream_system(self.grid, self.bc)
+        return solve_stream_system(self.grid, self.bc.stokes_rhs(self.grid))
 
     def update_norm(self, dpsi: np.ndarray) -> float:
         return dirichlet_norm(curl_of_stream(ScalarField(self.grid, dpsi)))
 
-    # -- Picard ---------------------------------------------------------------
-
-    def picard_target(self, psi: np.ndarray, omega: np.ndarray):
-        u = self.velocity(psi)
-        rhs = self.ratio * self.convection_of_vorticity(u, omega)
-        sc = self.ratio * float(self.swirl_momentum(u, u)[0, :].mean())
-        return solve_stream_system(self.grid, self.bc, rhs, sc)
-
-    # -- Newton ---------------------------------------------------------------
+    # -- residual and steps ---------------------------------------------------
 
     def residual(self, psi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, VelocityField]:
         """Newton residual F in the modal layout, with the velocity of psi.
@@ -257,6 +251,14 @@ class _Problem:
         side = float(g.diff_r(omega)[0, :].mean()
                      - self.ratio * self.swirl_momentum(u, u)[0, :].mean())
         return self._modal(rows, side), u
+
+    def picard_update(self, psi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Picard step (dpsi, domega): -F solved with the stream blocks, the lambda = 0 Jacobian.
+
+        psi + dpsi solves the Stokes-type problem with the convective terms
+        frozen at (psi, omega).  Raises ValueError on a non-finite residual.
+        """
+        return solve_stream_system(self.grid, -self.residual(psi, omega)[0])
 
     def jacobian(self, u: VelocityField, omega: np.ndarray, step: np.ndarray) -> np.ndarray:
         """J @ step at (u, omega), matrix free; ``step`` stacks nodal (dpsi, domega)."""
@@ -402,33 +404,34 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
              warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> _Solution:
     """Run the configured iteration from the Stokes state or ``warm_start``; measure J.
 
-    On a singular Newton Jacobian or a Krylov miss the step falls back to a
-    damped Picard sweep for that iteration, the documented robustness
+    On a singular Newton Jacobian or a Krylov miss the step falls back to
+    half a Picard step for that iteration, the documented robustness
     fallback near turning points.  A non-finite or blown-up step is not
     applied: the iteration stops, unconverged, at the last finite iterate.
+    At lambda = 0 the Stokes state is returned, converged after 0
+    iterations, and ``warm_start`` is ignored.
     """
     problem = _Problem.from_trace(grid, trace, cfg)
     psi_stokes, omega_stokes = problem.stokes_state()
-    psi0, omega0 = warm_start if warm_start is not None else (psi_stokes, omega_stokes)
+    # lambda = 0 is the linear Stokes problem, which the Stokes state solves;
+    # a step from it would move it by rounding, not by zero
+    stokes = cfg.lam == 0.0
+    psi0, omega0 = (psi_stokes, omega_stokes) if stokes or warm_start is None else warm_start
     psi, omega = psi0, omega0
     history: list[float] = []
     steps: list[dict] = []
-    converged = False
-    # at lambda = 0 the problem is the (linear) Stokes problem; the fixed-point
-    # map reproduces its solution exactly, so no linearization is needed
-    method = "picard" if cfg.lam == 0.0 else cfg.method
-    for _ in range(cfg.max_iter):
+    converged = stokes
+    for _ in range(0 if stokes else cfg.max_iter):
         scale = max(1.0, problem.update_norm(psi - psi0))
-        if method == "picard":
-            target_psi, target_omega = problem.picard_target(psi, omega)
-            dpsi, domega = target_psi - psi, target_omega - omega
+        if cfg.method == "picard":
+            dpsi, domega = problem.picard_update(psi, omega)
             step = {"kind": "picard"}
         else:
             try:
                 dpsi, domega, step = problem.newton_update(psi, omega)
             except NewtonSingularError:
-                target_psi, target_omega = problem.picard_target(psi, omega)
-                dpsi, domega = 0.5 * (target_psi - psi), 0.5 * (target_omega - omega)
+                dpsi, domega = problem.picard_update(psi, omega)
+                dpsi, domega = 0.5 * dpsi, 0.5 * domega
                 step = {"kind": "picard-fallback"}
         finite = np.all(np.isfinite(dpsi)) and np.all(np.isfinite(domega))
         if not finite or np.max(np.abs(dpsi)) >= BLOWUP_FACTOR * max(1.0, np.max(np.abs(psi))):
@@ -456,6 +459,8 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
 
     Starts from w = 0 (the Stokes solution) unless a warm-start state is
     given; attaches the least-squares pressure and the diagnostics record.
+    At lambda = 0 the Stokes state is the solution: the report holds it
+    with J = 0, converged after 0 iterations, whatever the warm start.
     The prescribed flux is carried exactly at every iterate because the
     carrier never enters the iteration.
     """
@@ -508,12 +513,13 @@ def _state_from_fields(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConf
 def picard_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> VelocityField:
     """One frozen-coefficient fixed-point step; returns the next zero-trace part.
 
-    Solves the Stokes-type linear problem whose convective terms are
-    evaluated at w_m; at lambda = 0 the result is identically zero.
+    The stream-block solve of the Newton residual at w_m: the Stokes-type
+    linear problem whose convective terms are evaluated at w_m.  At
+    lambda = 0 the result is zero up to rounding.
     """
     problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
-    target_psi, _ = problem.picard_target(psi, omega)
-    return problem.velocity(target_psi) - u_aux
+    dpsi, _ = problem.picard_update(psi, omega)
+    return problem.velocity(psi + dpsi) - u_aux
 
 
 def newton_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> VelocityField:

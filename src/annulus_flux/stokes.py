@@ -64,26 +64,29 @@ class StreamBC:
         psi_o, dpsi_o, psi_i, dpsi_i = boundary_stream_data(grid, trace)
         return cls(psi_o, dpsi_o, psi_i, dpsi_i)
 
+    def stokes_rhs(self, grid: PolarGrid) -> np.ndarray:
+        """Stokes right-hand side for :func:`solve_stream_system`: these data, zero elsewhere."""
+        rhs = np.zeros((2, grid.n_r, grid.n_modes), dtype=complex)
+        rhs[0, 0] = np.fft.rfft(self.dpsi_outer)
+        rhs[0, -1] = np.fft.rfft(self.dpsi_inner)
+        rhs[1, 0] = np.fft.rfft(self.psi_outer)
+        rhs[1, 0, 0] = 0.0  # mode 0 of the outer value row is the side condition
+        rhs[1, -1] = np.fft.rfft(self.psi_inner)
+        return rhs
 
-def solve_stream_system(grid: PolarGrid, bc: StreamBC,
-                        interior_rhs: np.ndarray | None = None,
-                        sc_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the per-mode clamped biharmonic pair for (psi, omega).
 
-    ``interior_rhs`` is the nodal right-hand side of Lap(omega) = rhs (the
-    caller includes any lambda/nu scaling); ``sc_value`` is the mode-0
-    single-valued-pressure datum d omega/dr(r_outer).  Returns nodal arrays.
+def solve_stream_system(grid: PolarGrid, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the per-mode clamped biharmonic pair for nodal (psi, omega).
+
+    ``rhs`` holds rfft coefficients in the row layout of ``grid.stream_blocks``,
+    shape (2, n_r, n_modes): rhs[0] the slopes on the circles (rows 0, -1)
+    and the Lap(psi) + omega rows inside, rhs[1] the Lap(omega) rows inside
+    and the values on the circles, with mode 0 of the outer value row the
+    side-condition datum d omega/dr(r_outer) times n_theta.  Raises
+    ValueError if ``rhs`` is not finite.
     """
     n = grid.n_r
-    rhs = np.zeros((2 * n, grid.n_modes), dtype=complex)
-    rhs[0] = np.fft.rfft(bc.dpsi_outer)
-    rhs[n - 1] = np.fft.rfft(bc.dpsi_inner)
-    rhs[n] = np.fft.rfft(bc.psi_outer)
-    rhs[n, 0] = sc_value * grid.n_theta  # rfft scaling of an angular mean
-    if interior_rhs is not None:
-        rhs[n + 1:2 * n - 1] = grid.to_modes(interior_rhs)[1:n - 1]
-    rhs[2 * n - 1] = np.fft.rfft(bc.psi_inner)
-    coef = _solve_modal(grid.stream_lu, rhs)
+    coef = _solve_modal(grid.stream_lu, rhs.reshape(2 * n, grid.n_modes))
     return grid.from_modes(coef[:n]), grid.from_modes(coef[n:])
 
 
@@ -102,7 +105,7 @@ class StokesSolution:
 
 def _stokes_state(grid: PolarGrid, trace: BoundaryTrace):
     bc = StreamBC.from_trace(grid, trace)
-    psi, omega = solve_stream_system(grid, bc)
+    psi, omega = solve_stream_system(grid, bc.stokes_rhs(grid))
     carrier = flux_carrier(grid, trace.flux)
     velocity = carrier + curl_of_stream(ScalarField(grid, psi))
     return psi, omega, velocity, bc

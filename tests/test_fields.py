@@ -27,6 +27,7 @@ from annulus_flux import (
 )
 from annulus_flux.fields import (
     flux_through_circle,
+    grad_inner,
     grad_squared,
     l2_norm,
     trilinear,
@@ -170,6 +171,7 @@ def test_grad_squared_matches_norm(grid):
     u = VelocityField.from_functions(
         grid, lambda r, t: np.sin(t) / r**2, lambda r, t: np.cos(t) * r)
     assert integrate(grid, grad_squared(u)) == pytest.approx(dirichlet_norm(u) ** 2, rel=1e-12)
+    assert np.array_equal(grad_inner(u, u).values, grad_squared(u).values)
 
 
 def test_velocity_csv_round_trip(tmp_path, grid):

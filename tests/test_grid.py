@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from annulus_flux import ScalarField, build_grid, integrate, read_velocity_csv
 from annulus_flux.cli import main
@@ -125,6 +126,24 @@ def test_grid_arrays_immutable(grid):
 def test_radial_antiderivative_spectral(grid):
     got = grid.radial_antiderivative(np.cos(grid.r))
     assert np.max(np.abs(got - (np.sin(grid.r) - np.sin(1.0)))) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (32, 64), (64, 128)])
+def test_radial_antiderivative_matches_lu_solve(shape):
+    g = build_grid(*shape, 1.0, 2.0)
+    anti = g.d_r.copy()
+    anti[-1] = 0.0
+    anti[-1, -1] = 1.0
+    factors = lu_factor(anti)
+    rng = np.random.default_rng(5)
+    for values in (np.cos(g.r), rng.standard_normal((g.n_r, g.n_theta))):
+        rhs = values.copy()
+        rhs[-1] = 0.0
+        assert np.array_equal(g.radial_antiderivative(values), lu_solve(factors, rhs))
+    bad = np.cos(g.rr)
+    bad[3, 2] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        g.radial_antiderivative(bad)
 
 
 def test_factor_blocks_names_first_non_finite_mode():

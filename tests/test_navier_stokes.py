@@ -39,6 +39,7 @@ from annulus_flux import (
 from annulus_flux.fields import velocity_l2_norm
 from annulus_flux import navier_stokes
 from annulus_flux.navier_stokes import _Problem, energy_cancellation
+from annulus_flux.stokes import solve_stream_system
 
 NEWTON = SolverConfig(nu=1.0, lam=1.0, method="newton")
 PICARD = SolverConfig(nu=1.0, lam=1.0, method="picard")
@@ -376,16 +377,16 @@ class TestNewtonKrylov:
 
     def test_nonfinite_preconditioner_input_falls_back_to_picard(self, grid, monkeypatch):
         # the preconditioner's block solves do not check their input: a NaN
-        # in the residual comes out of them and is caught as a singular step
-        residual = _Problem.residual
+        # in the Jacobian product comes out of them and is caught as a
+        # singular step (the residual is shared with the Picard fallback)
+        jacobian = _Problem.jacobian
 
-        def poisoned(self, psi, omega):
-            res, u = residual(self, psi, omega)
-            res = res.copy()
-            res[0, 1, 0] = np.nan
-            return res, u
+        def poisoned(self, u, omega, step):
+            product = jacobian(self, u, omega, step).copy()
+            product[0, 1, 0] = np.nan
+            return product
 
-        monkeypatch.setattr(_Problem, "residual", poisoned)
+        monkeypatch.setattr(_Problem, "jacobian", poisoned)
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
         with pytest.raises(NewtonSingularError):
             problem.newton_update(psi, omega)
@@ -453,3 +454,40 @@ class TestNewtonKrylov:
         want = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
         got = np.stack([dpsi, domega])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestOneProblem:
+    """Picard and Newton read one residual; lambda = 0 is the Stokes state."""
+
+    @pytest.mark.parametrize("case", sorted(NONAXI_CASES))
+    def test_picard_update_is_fixed_point_map(self, case):
+        # reference: the frozen-convection Stokes-type solve minus the state,
+        # with the convection and the side condition assembled on their own
+        (n_r, n_theta), trace = NONAXI_CASES[case]
+        g = build_grid(n_r, n_theta, 1.0, 2.0)
+        problem = _Problem.from_trace(g, trace, PICARD)
+        psi, omega = problem.stokes_state()
+        for _ in range(3):
+            u = problem.velocity(psi)
+            rhs = problem.bc.stokes_rhs(g)
+            conv = problem.ratio * problem.convection_of_vorticity(u, omega)
+            rhs[1, 1:-1] = g.to_modes(conv)[1:-1]
+            rhs[1, 0, 0] = problem.ratio * problem.swirl_momentum(u, u)[0, :].mean() * n_theta
+            target_psi, target_omega = solve_stream_system(g, rhs)
+            dpsi, domega = problem.picard_update(psi, omega)
+            scale = max(np.max(np.abs(psi)), np.max(np.abs(omega)))
+            assert np.max(np.abs(dpsi - (target_psi - psi))) <= 1e-11 * scale
+            assert np.max(np.abs(domega - (target_omega - omega))) <= 1e-11 * scale
+            psi, omega = psi + dpsi, omega + domega
+
+    def test_lambda_zero_returns_stokes_state(self, grid):
+        trace = NONAXI_CASES["couette_k2_32x16"][1]
+        psi_stokes, _ = _Problem.from_trace(grid, trace, NEWTON).stokes_state()
+        warm = solve(grid, trace, NEWTON)
+        stokes = replace(NEWTON, lam=0.0)
+        for start in (None, (warm.psi.values, warm.omega.values)):
+            report = solve(grid, trace, stokes, warm_start=start)
+            assert np.array_equal(report.psi.values, psi_stokes)
+            assert report.J == 0.0
+            assert report.iterations == 0 and report.converged
+            assert report.residual_history == [] and report.steps == []

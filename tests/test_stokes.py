@@ -29,7 +29,7 @@ from annulus_flux.fields import l2_norm, velocity_l2_norm
 from annulus_flux.grid import factor_blocks, solve_blocks
 from annulus_flux.navier_stokes import SolverConfig, _Problem, weak_residual
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
-from annulus_flux.stokes import StreamBC, solve_stream_system
+from annulus_flux.stokes import solve_stream_system
 
 
 def couette_field(grid, omega1, omega2):
@@ -259,9 +259,7 @@ def test_factor_blocks_matches_lu_factor_per_block(grid):
 
 
 def test_stream_solve_rejects_nonfinite_rhs(grid):
-    zero = np.zeros(grid.n_theta)
-    bc = StreamBC(zero, zero, zero, zero)
-    rhs = np.zeros((grid.n_r, grid.n_theta))
-    rhs[grid.n_r // 2, 3] = np.nan
+    rhs = np.zeros((2, grid.n_r, grid.n_modes), dtype=complex)
+    rhs[1, grid.n_r // 2, 3] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_stream_system(grid, bc, rhs)
+        solve_stream_system(grid, rhs)
