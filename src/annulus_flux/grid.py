@@ -10,6 +10,11 @@ Index convention: nodal arrays have shape (n_r, n_theta) with the radial
 index running from the outer boundary (row 0, r = r_outer) to the inner
 boundary (row n_r - 1, r = r_inner), following the native Chebyshev node
 ordering x_j = cos(pi j / N).
+
+Per-mode systems are held as :class:`BlockFactors`, a stack of blocks that
+:func:`solve_blocks` LU-factors one by one, each the first time a right-hand
+side is not exactly zero in its mode.  For axisymmetric data the FFT leaves
+every mode k >= 1 exactly zero on most grids, and then one block is factored.
 """
 
 from __future__ import annotations
@@ -78,11 +83,12 @@ class PolarGrid:
     """Immutable collocation grid on the annulus r_inner < r < r_outer.
 
     Differentiation and quadrature operators are computed at construction.
-    The per-mode operators (the mode Laplacians and the batched LU factors of
-    the stream, Dirichlet and Neumann systems) are built on first use and
-    kept.  :func:`build_grid` applies the precondition checks and hands every
-    caller asking for the same grid one shared instance, so its arrays are
-    read-only and every operation on it is pure.  Grids compare and hash by
+    The per-mode operators (the mode Laplacians and the block stacks of the
+    stream, Dirichlet and Neumann systems) are built on first use and kept;
+    a block of a stack is LU-factored when a solve first reaches its mode.
+    :func:`build_grid` applies the precondition checks and hands every caller
+    asking for the same grid one shared instance, so its arrays are read-only
+    to callers and every operation on it is pure.  Grids compare and hash by
     ``(n_r, n_theta, r_inner, r_outer)``.
 
     Attributes of interest
@@ -98,8 +104,8 @@ class PolarGrid:
     area, area_outer_disk, area_inner_disk : measures of Omega,
         Omega_1 (disk bounded by Gamma_1) and Omega_2 (hole).
     mode_laplacians : (n_modes, n_r, n_r) stack of Lap_k.
-    stream_lu, dirichlet_lu, neumann_lu : (lu, piv) stacks of the per-mode
-        systems, for :func:`solve_blocks`.
+    stream_lu, dirichlet_lu, neumann_lu : :class:`BlockFactors` of the
+        per-mode systems, for :func:`solve_blocks`.
     """
 
     n_r: int
@@ -207,7 +213,7 @@ class PolarGrid:
         return values.mean(axis=-1)
 
     @functools.cached_property
-    def _antiderivative_lu(self) -> tuple[np.ndarray, np.ndarray]:
+    def _antiderivative_lu(self) -> BlockFactors:
         """One-block stack of d/dr with the inner row pinned, the antiderivative operator."""
         anti = self.d_r.copy()
         anti[-1, :] = 0.0
@@ -247,11 +253,11 @@ class PolarGrid:
         return m
 
     @functools.cached_property
-    def stream_lu(self) -> tuple[np.ndarray, np.ndarray]:
+    def stream_lu(self) -> BlockFactors:
         return factor_blocks(self.stream_blocks())
 
     @functools.cached_property
-    def dirichlet_lu(self) -> tuple[np.ndarray, np.ndarray]:
+    def dirichlet_lu(self) -> BlockFactors:
         """Lap_k with value rows on both circles."""
         n = self.n_r
         m = _block_stack(self.n_modes, n)
@@ -262,7 +268,7 @@ class PolarGrid:
         return factor_blocks(m)
 
     @functools.cached_property
-    def neumann_lu(self) -> tuple[np.ndarray, np.ndarray]:
+    def neumann_lu(self) -> BlockFactors:
         """Lap_k with slope rows on both circles and a zero mean for mode 0."""
         n = self.n_r
         m = _block_stack(self.n_modes, n)
@@ -308,53 +314,93 @@ def _shared_grid(n_r: int, n_theta: int, r_inner: float, r_outer: float) -> Pola
 def _block_stack(count: int, size: int, dtype=float) -> np.ndarray:
     """Zero (count, size, size) stack whose slices are Fortran ordered.
 
-    LAPACK factors such a slice in place, so :func:`factor_blocks` needs no
+    LAPACK factors such a slice in place, so :class:`BlockFactors` needs no
     second stack.
     """
     return np.zeros((count, size, size), dtype=dtype).transpose(0, 2, 1)
 
 
-def factor_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors of a stack of per-mode matrices, overwriting ``blocks``.
+class BlockFactors:
+    """LU factors of a stack of per-mode blocks, each block factored when first reached.
 
-    One LAPACK ``getrf`` per block, the routine ``scipy.linalg.lu_factor``
-    calls.  Returns read-only ``(lu, piv)`` stacks for :func:`solve_blocks`;
-    an exactly singular block is factored without complaint and gives a
+    Made by :func:`factor_blocks` and applied by :func:`solve_blocks`, which
+    factors block k with LAPACK ``getrf`` the first time a right-hand side is
+    not exactly zero in mode k.  ``lu``, ``piv`` and ``factored`` are
+    read-only to callers: once ``factored[k]``, ``lu[k]`` and ``piv[k]`` are
+    what ``scipy.linalg.lu_factor`` gives for the block; until then ``lu[k]``
+    is the block itself.  Only the factor step writes them.
+    """
+
+    def __init__(self, blocks: np.ndarray):
+        # writable views for the factor step, taken before the flags close
+        self._lu = blocks.view()
+        self._piv = np.empty(blocks.shape[:2], dtype=np.int32)
+        self._factored = np.zeros(len(blocks), dtype=bool)
+        self.lu = blocks
+        self.piv = self._piv.view()
+        self.factored = self._factored.view()
+        for public in (self.lu, self.piv, self.factored):
+            public.setflags(write=False)
+
+    def _factor(self, modes: np.ndarray) -> None:
+        """Factor the blocks of ``modes`` not yet factored, in place, in order.
+
+        Raises
+        ------
+        ValueError
+            Naming the first of ``modes`` whose factor is not finite; that
+            block is not marked factored.
+        """
+        todo = modes[~self._factored[modes]]
+        if not todo.size:
+            return
+        getrf, = get_lapack_funcs(("getrf",), (self._lu,))
+        for k in todo:
+            lu, self._piv[k], info = getrf(self._lu[k], overwrite_a=True)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of getrf")
+            if not np.all(np.isfinite(lu)):
+                raise ValueError(f"ill-conditioned collocation system at angular mode {k}")
+            self._lu[k] = lu  # no copy for Fortran-ordered slices, which LAPACK overwrites
+            self._factored[k] = True
+
+
+def factor_blocks(blocks: np.ndarray) -> BlockFactors:
+    """Lazy LU factors of a stack of per-mode matrices, taking over ``blocks``.
+
+    No block is factored here: :func:`solve_blocks` factors a block the first
+    time it reaches its mode.  ``blocks`` becomes read-only and is overwritten
+    by the factors; Fortran-ordered slices are factored without a copy.  An
+    exactly singular block is factored without complaint and gives a
     non-finite solve.
+    """
+    return BlockFactors(blocks)
+
+
+def solve_blocks(factors: BlockFactors, rhs: np.ndarray) -> np.ndarray:
+    """Solve each block of ``factors`` for the matching slice of ``rhs``.
+
+    ``rhs`` stacks one right-hand side per block, a vector or a matrix of
+    columns.  An exactly zero slice gets an exactly zero solution and no
+    LAPACK call; any other slice, NaN included, is solved by LAPACK
+    ``getrs``, the routine ``scipy.linalg.lu_solve`` calls, after its block
+    is factored if it is not yet.  So each slice of the C-ordered result is
+    bit-identical to ``scipy.linalg.lu_solve`` on the factored block.
+    Nothing is checked for finiteness: a non-finite input gives a
+    non-finite result.
 
     Raises
     ------
     ValueError
-        Naming the first angular mode whose factor is not finite.
+        Naming the first reached angular mode whose factor is not finite.
     """
-    getrf, = get_lapack_funcs(("getrf",), (blocks,))
-    piv = np.empty(blocks.shape[:2], dtype=np.int32)
-    for k, block in enumerate(blocks):
-        lu, piv[k], info = getrf(block, overwrite_a=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrf")
-        if not np.all(np.isfinite(lu)):
-            raise ValueError(f"ill-conditioned collocation system at angular mode {k}")
-        blocks[k] = lu  # no copy for Fortran-ordered slices, which LAPACK overwrites
-    blocks.setflags(write=False)
-    piv.setflags(write=False)
-    return blocks, piv
-
-
-def solve_blocks(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve each factored block of ``factors`` for the matching slice of ``rhs``.
-
-    ``rhs`` stacks one right-hand side per block, a vector or a matrix of
-    columns.  One LAPACK ``getrs`` per block, the routine
-    ``scipy.linalg.lu_solve`` calls, so each slice of the C-ordered result is
-    bit-identical to ``scipy.linalg.lu_solve`` on that block.  Nothing is
-    checked for finiteness: a non-finite input gives a non-finite result.
-    """
-    lu, piv = factors
+    reached = np.flatnonzero(rhs.reshape(len(rhs), -1).any(axis=1))
+    factors._factor(reached)
+    lu, piv = factors.lu, factors.piv
     getrs, = get_lapack_funcs(("getrs",), (lu, rhs))
-    out = np.empty(rhs.shape, dtype=getrs.dtype)
-    for k, b in enumerate(rhs):
-        out[k], info = getrs(lu[k], piv[k], b)
+    out = np.zeros(rhs.shape, dtype=getrs.dtype)
+    for k in reached:
+        out[k], info = getrs(lu[k], piv[k], rhs[k])
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of getrs")
     return out

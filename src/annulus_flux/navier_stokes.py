@@ -23,8 +23,11 @@ the Stokes state after 0 iterations.  Every Newton step is Jacobian-free
 Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004): GMRES on the
 analytic Jacobian-vector product, built from the residual's own FFT and
 radial operators, right-preconditioned by the per-mode Jacobian about the
-angular mean, factored once per step.  About a rotationally symmetric state
-that preconditioner is the exact Jacobian and GMRES takes no iterations.
+angular mean, assembled once per step.  Each of its blocks is factored at
+most once per step, when a solve first reaches that mode: about a
+rotationally symmetric state the preconditioner is the exact Jacobian, every
+mode k >= 1 of the residual is exactly zero, so only the mode-0 block is
+factored, and GMRES takes no iterations.
 GMRES runs to a relative 1e-10, floored at the residual's rounding level; a
 miss within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.
 Memory is n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1 Krylov
@@ -58,7 +61,7 @@ from .fields import (
     stream_function,
     trilinear,
 )
-from .grid import PolarGrid, factor_blocks, integrate, solve_blocks
+from .grid import BlockFactors, PolarGrid, factor_blocks, integrate, solve_blocks
 from .stokes import StreamBC, pressure_from_momentum, solve_stream_system
 from .testspace import divergence_free_test_fields
 
@@ -309,10 +312,16 @@ class _Problem:
         m.imag[:, n + inner, inner] += (-self.ratio * k) * (domega0 / g.r)[inner]
         return m
 
-    def apply_modal(self, factors: tuple[np.ndarray, np.ndarray], res: np.ndarray) -> np.ndarray:
-        """Nodal (dpsi, domega) from the factored :meth:`modal_jacobian` blocks and ``res``."""
+    def apply_modal(self, factors: BlockFactors, res: np.ndarray) -> np.ndarray:
+        """Nodal (dpsi, domega) from the :meth:`modal_jacobian` factors and ``res``.
+
+        Raises NewtonSingularError on a non-finite block factor or step.
+        """
         g = self.grid
-        sol = solve_blocks(factors, res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r))
+        try:
+            sol = solve_blocks(factors, res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r))
+        except ValueError as exc:
+            raise NewtonSingularError(self.cfg.lam, self.flux) from exc
         step = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
         if not np.all(np.isfinite(step)):
             raise NewtonSingularError(self.cfg.lam, self.flux)
@@ -321,17 +330,15 @@ class _Problem:
     def newton_update(self, psi: np.ndarray, omega: np.ndarray):
         """Newton step (dpsi, domega) and its record ``{"kind": "krylov", ...}``.
 
-        The modal Jacobian P, factored once, right-preconditions GMRES
-        started from P^-1(-F).  P is exact about a rotationally symmetric
-        state, where GMRES takes 0 iterations.  Raises NewtonSingularError
-        on a singular block or a GMRES miss.
+        The modal Jacobian P, assembled once, right-preconditions GMRES
+        started from P^-1(-F); each block of P is factored when a solve
+        first reaches its mode.  P is exact about a rotationally symmetric
+        state, where only its mode-0 block is factored and GMRES takes 0
+        iterations.  Raises NewtonSingularError on a singular block or a
+        GMRES miss.
         """
         res, u = self.residual(psi, omega)
-        try:
-            factors = factor_blocks(self.modal_jacobian(u, omega))
-        except ValueError as exc:
-            raise NewtonSingularError(self.cfg.lam, self.flux) from exc
-
+        factors = factor_blocks(self.modal_jacobian(u, omega))
         step = self.apply_modal(factors, -res)
         # F sums terms the size of omega and of Lap(omega): below eps times
         # their size it is rounding, so no tighter linear solve is useful
@@ -359,8 +366,11 @@ def _gmres(apply: Callable, rhs: np.ndarray, target: float, max_iter: int):
     Arnoldi with modified Gram-Schmidt under the real inner product, so
     ``apply`` need only be real-linear on complex arrays; the Hessenberg
     least-squares problem is re-solved until its residual is <= ``target``.
+    A non-finite ``rhs`` is a miss.
     """
     beta = float(np.linalg.norm(rhs))
+    if not np.isfinite(beta):
+        return None
     if beta <= target:
         return np.zeros_like(rhs), 0
     basis = [rhs / beta]

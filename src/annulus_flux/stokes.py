@@ -3,8 +3,11 @@
 Everything here reduces to independent boundary-value problems in r, one per
 angular Fourier mode: dense collocation matrices with boundary rows replaced.
 The grid assembles each family as one stack of per-mode blocks and holds its
-batched LU factors; a solve builds the stack of modal right-hand sides and
-applies the factors with one ``solve_blocks`` call.
+LU factors; a solve builds the stack of modal right-hand sides and applies
+the factors with one ``solve_blocks`` call, which factors a block the first
+time a right-hand side reaches its mode and skips modes whose right-hand side
+is exactly zero.  An axisymmetric datum whose modes k >= 1 come out of the
+FFT exactly zero thus factors and solves mode 0 only.
 
 The Stokes problem is solved in stream-function form.  Writing the velocity
 as flux carrier plus curl(psi), psi is biharmonic; per mode this is the
@@ -103,14 +106,6 @@ class StokesSolution:
     norm_ratio: float
 
 
-def _stokes_state(grid: PolarGrid, trace: BoundaryTrace):
-    bc = StreamBC.from_trace(grid, trace)
-    psi, omega = solve_stream_system(grid, bc.stokes_rhs(grid))
-    carrier = flux_carrier(grid, trace.flux)
-    velocity = carrier + curl_of_stream(ScalarField(grid, psi))
-    return psi, omega, velocity, bc
-
-
 def stokes_solve(grid: PolarGrid, trace: BoundaryTrace, nu: float = 1.0) -> StokesSolution:
     """Velocity of the Stokes problem attaining ``trace``, with its pressure.
 
@@ -119,7 +114,9 @@ def stokes_solve(grid: PolarGrid, trace: BoundaryTrace, nu: float = 1.0) -> Stok
     stand-in for the nonconstructive Stokes bound: W^{1,2} norm of the
     solution over the trace-norm proxy.
     """
-    _, _, velocity, bc = _stokes_state(grid, trace)
+    bc = StreamBC.from_trace(grid, trace)
+    psi, _ = solve_stream_system(grid, bc.stokes_rhs(grid))
+    velocity = flux_carrier(grid, trace.flux) + curl_of_stream(ScalarField(grid, psi))
     pressure = pressure_from_momentum(grid, velocity, lam=0.0, nu=nu)
     theta = grid.theta
     trace_error = max(

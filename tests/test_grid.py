@@ -18,6 +18,7 @@ from annulus_flux.grid import (
     chebyshev_diff_matrix,
     clenshaw_curtis_weights,
     factor_blocks,
+    solve_blocks,
 )
 
 
@@ -147,11 +148,24 @@ def test_radial_antiderivative_matches_lu_solve(shape):
 
 
 def test_factor_blocks_names_first_non_finite_mode():
-    blocks = np.stack([np.eye(4) * (k + 1.0) for k in range(5)])
-    blocks[2, 1, 1] = np.nan
-    blocks[3, 0, 0] = np.inf
+    def poisoned():
+        blocks = np.stack([np.eye(4) * (k + 1.0) for k in range(5)])
+        blocks[2, 1, 1] = np.nan
+        blocks[3, 0, 0] = np.inf
+        return factor_blocks(blocks)
+
     with pytest.raises(ValueError, match=r"angular mode 2$"):
-        factor_blocks(blocks)
+        solve_blocks(poisoned(), np.ones((5, 4)))
+    # the factor step names the first mode a solve reaches, not the first in the stack
+    rhs = np.ones((5, 4))
+    rhs[2] = 0.0
+    with pytest.raises(ValueError, match=r"angular mode 3$"):
+        solve_blocks(poisoned(), rhs)
+    # a solve that reaches neither bad block needs neither factor
+    rhs[3] = 0.0
+    factors = poisoned()
+    assert np.array_equal(solve_blocks(factors, rhs), rhs / (np.arange(5.0) + 1.0)[:, None])
+    assert factors.factored.tolist() == [True, True, False, False, True]
 
 
 def test_build_grid_shares_one_grid_and_its_factors(tmp_path):
@@ -160,8 +174,13 @@ def test_build_grid_shares_one_grid_and_its_factors(tmp_path):
     assert g.stream_lu is g.stream_lu
     assert g.dirichlet_lu is g.dirichlet_lu
     assert g.neumann_lu is g.neumann_lu
-    with pytest.raises(ValueError):
-        g.stream_lu[0][0, 0, 0] = 1.0
+    # the shared stacks stay read-only to callers once a solve has factored them
+    for factors in (g.stream_lu, g.dirichlet_lu, g.neumann_lu):
+        solve_blocks(factors, np.ones(factors.piv.shape))
+        assert factors.factored.all()
+        for stack in (factors.lu, factors.piv, factors.factored):
+            with pytest.raises(ValueError):
+                stack[0] = 1
     # a solve's fields.csv reads back onto the same grid, so a check of the
     # output reuses the solve's factors
     config = tmp_path / "config.json"

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from annulus_flux import (
     NewtonSingularError,
@@ -38,6 +39,7 @@ from annulus_flux import (
 )
 from annulus_flux.fields import velocity_l2_norm
 from annulus_flux import navier_stokes
+from annulus_flux.grid import factor_blocks
 from annulus_flux.navier_stokes import _Problem, energy_cancellation
 from annulus_flux.stokes import solve_stream_system
 
@@ -345,7 +347,7 @@ class TestNewtonKrylov:
 
     @pytest.mark.parametrize("case", sorted(NONAXI_CASES))
     def test_newton_agrees_with_picard(self, case):
-        # Picard's defect floors near 1e-11 here, so it stops at max_iter
+        # Picard's defect floors near 5e-12 here, so it stops at max_iter
         # rather than at tol; agreement of the two paths is the check
         (n_r, n_theta), trace = NONAXI_CASES[case]
         g = build_grid(n_r, n_theta, 1.0, 2.0)
@@ -454,6 +456,30 @@ class TestNewtonKrylov:
         want = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
         got = np.stack([dpsi, domega])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("trace, factored", [
+        (spiral_trace(2 * np.pi, 1.0, 1.0), [0]),
+        (NONAXI_CASES["couette_k2_32x16"][1], list(range(33))),
+    ])
+    def test_step_factors_only_reached_blocks(self, fine_grid, monkeypatch, trace, factored):
+        # at n_theta = 64 an axisymmetric residual is exactly zero in every
+        # mode k >= 1, so only mode 0 is factored; Couette + k=2 reaches every block.  The
+        # reference factors and solves every block per mode
+        def reference_solve(blocks, rhs):
+            return np.stack([lu_solve(lu_factor(block), b) for block, b in zip(blocks, rhs)])
+
+        problem, psi, omega = self._state(fine_grid, trace)
+        with monkeypatch.context() as m:
+            m.setattr(navier_stokes, "factor_blocks", lambda blocks: blocks)
+            m.setattr(navier_stokes, "solve_blocks", reference_solve)
+            want = problem.newton_update(psi, omega)
+        made = []
+        monkeypatch.setattr(navier_stokes, "factor_blocks",
+                            lambda blocks: made.append(factor_blocks(blocks)) or made[-1])
+        got = problem.newton_update(psi, omega)
+        assert len(made) == 1 and np.flatnonzero(made[0].factored).tolist() == factored
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestOneProblem:

@@ -205,13 +205,15 @@ def reference_blocks(grid):
 def test_factor_stacks_solve_reference_blocks(grid):
     rng = np.random.default_rng(3)
     stream, dirichlet, neumann = reference_blocks(grid)
-    for (lu, piv), blocks in ((grid.stream_lu, stream), (grid.dirichlet_lu, dirichlet),
-                              (grid.neumann_lu, neumann)):
-        assert lu.shape == (grid.n_modes,) + blocks[0].shape
+    for factors, blocks in ((grid.stream_lu, stream), (grid.dirichlet_lu, dirichlet),
+                            (grid.neumann_lu, neumann)):
+        assert factors.lu.shape == (grid.n_modes,) + blocks[0].shape
+        solve_blocks(factors, np.ones(factors.piv.shape))  # reach every mode
+        assert factors.factored.all()
         for k, block in enumerate(blocks):
             b = rng.standard_normal(len(block))
             want = np.linalg.solve(block, b)
-            got = lu_solve((lu[k], piv[k]), b)
+            got = lu_solve((factors.lu[k], factors.piv[k]), b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -234,13 +236,15 @@ def test_solve_blocks_matches_lu_solve_per_block(grid):
     problem = _Problem.from_trace(grid, tr, SolverConfig())
     psi, omega = problem.stokes_state()
     complex_factors = factor_blocks(problem.modal_jacobian(problem.velocity(psi), omega))
-    for lu, piv in (grid.stream_lu, grid.neumann_lu, complex_factors):
+    for factors in (grid.stream_lu, grid.neumann_lu, complex_factors):
+        lu, piv = factors.lu, factors.piv
         for shape in ((len(lu), lu.shape[1], 2), (len(lu), lu.shape[1])):
             b = rng.standard_normal(shape)
             if np.iscomplexobj(lu):
                 b = b + 1j * rng.standard_normal(shape)
-            got = solve_blocks((lu, piv), b)
+            got = solve_blocks(factors, b)
             assert got.shape == b.shape and got.dtype == lu.dtype
+            assert factors.factored.all()
             for k in range(len(lu)):
                 assert np.array_equal(got[k], lu_solve((lu[k], piv[k]), b[k]))
 
@@ -252,10 +256,33 @@ def test_factor_blocks_matches_lu_factor_per_block(grid):
     psi, omega = problem.stokes_state()
     for blocks in (grid.stream_blocks(), problem.modal_jacobian(problem.velocity(psi), omega)):
         want = [lu_factor(block) for block in blocks]
-        lu, piv = factor_blocks(blocks)
+        factors = factor_blocks(blocks)
+        solve_blocks(factors, np.ones(factors.piv.shape))  # reach every mode
+        assert factors.factored.all()
         for k, (lu_k, piv_k) in enumerate(want):
-            assert np.array_equal(lu[k], lu_k)
-            assert np.array_equal(piv[k], piv_k)
+            assert np.array_equal(factors.lu[k], lu_k)
+            assert np.array_equal(factors.piv[k], piv_k)
+
+
+def test_solve_blocks_skips_exactly_zero_slices(grid):
+    # a zero slice needs no factor; a NaN slice is not zero and is solved
+    rhs = np.zeros((grid.n_modes, 2 * grid.n_r, 2))
+    rhs[0, 3, 0] = 1.0
+    rhs[2, 5, 1] = np.nan
+    rhs[4, 0, 1] = -1e-300
+    factors = factor_blocks(grid.stream_blocks())
+    got = solve_blocks(factors, rhs)
+    reached = [0, 2, 4]
+    assert np.flatnonzero(factors.factored).tolist() == reached
+    blocks = grid.stream_blocks()
+    for k in range(grid.n_modes):
+        if k in reached:
+            want = lu_solve(lu_factor(blocks[k]), rhs[k], check_finite=False)
+            assert np.array_equal(got[k], want, equal_nan=True)
+        else:
+            assert np.array_equal(factors.lu[k], blocks[k])
+            assert not np.any(got[k]) and not np.any(np.signbit(got[k]))
+    assert not np.all(np.isfinite(got[2]))
 
 
 def test_stream_solve_rejects_nonfinite_rhs(grid):
