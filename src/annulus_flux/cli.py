@@ -94,8 +94,17 @@ class RunConfig:
         bspec.setdefault("r_outer", grid.r_outer)
         try:
             trace = make_trace(bspec)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"boundary: {exc}") from exc
+        # the least-squares pressure squares momentum terms of size |u|^2, so
+        # larger data cannot give a finite report
+        size = max((abs(c) for coefs in (trace.normal_outer, trace.angular_outer,
+                                         trace.normal_inner, trace.angular_inner)
+                    for c in coefs.values()), default=0.0)
+        bound = sys.float_info.max ** 0.25
+        if not size <= bound:
+            raise ConfigError(f"boundary: data of size {size:.3e} exceed {bound:.3e}, "
+                              "beyond which the pressure overflows")
 
         sspec = raw.get("solver", {})
         if not isinstance(sspec, dict):

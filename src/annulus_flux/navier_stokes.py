@@ -33,11 +33,16 @@ miss within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.
 Memory is n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1 Krylov
 vectors.
 
-Convergence is measured by the Dirichlet norm of the velocity update
-relative to max(1, J): for Picard this is the fixed-point defect, for
-Newton the step norm; both floor at the rounding level of the direct
-solves.  A non-finite or blown-up step ends the iteration unconverged at the
-last finite iterate.
+Convergence is measured after each applied step, first by the step defect,
+the Dirichlet norm of the velocity update relative to max(1, J) (for Picard
+the fixed-point defect, for Newton the step norm), then by the residual at
+the new iterate: ||F|| <= 0.1 tol ||modes of (omega, Lap(omega))||, the
+size of the terms F sums.  The step defect floors at the rounding level of
+the direct solves, which can lie above tol on fine grids at low viscosity;
+the relative residual floors near 1e-12 there.  F is evaluated once per
+iterate and feeds the next step, so a Newton solve ends on the step that
+reached the solution, without a further step to confirm it.  A non-finite or
+blown-up step ends the iteration unconverged at the last finite iterate.
 """
 
 from __future__ import annotations
@@ -88,8 +93,10 @@ class SolverConfig:
     """Settings of the nonlinear solve.
 
     ``lam`` is the homotopy parameter in [0, 1] multiplying the convective
-    terms; ``tol`` bounds the relative Dirichlet norm of the last update;
-    ``damping`` relaxes the update (1 = undamped).
+    terms; ``tol`` bounds the relative Dirichlet norm of the last update,
+    and 0.1 ``tol`` the residual after it relative to the size of its terms
+    (either ends the iteration); ``damping`` relaxes the update
+    (1 = undamped).
     """
 
     nu: float = 1.0
@@ -118,6 +125,10 @@ class SolverConfig:
 class SolveReport:
     """Converged (or final) state of a nonlinear solve with its diagnostics.
 
+    ``residual_history`` is the step defect of each iteration and
+    ``residual_norms`` the relative residual ||F|| / ||modes of (omega,
+    Lap(omega))|| of each iterate the iteration evaluated: the start, then
+    every iterate after a step that the step defect did not certify.
     ``steps`` records each iteration's ``kind``: ``krylov`` (with
     ``gmres_iterations``, 0 about a rotationally symmetric state),
     ``picard`` or ``picard-fallback``.  ``psi`` and
@@ -137,6 +148,7 @@ class SolveReport:
     iterations: int
     converged: bool
     residual_history: list[float]
+    residual_norms: list[float]
     steps: list[dict]
     diagnostics: DiagnosticsRecord
     boundary_pressure_deviation: float
@@ -155,6 +167,7 @@ class SolveReport:
             "converged": self.converged,
             "method": self.method,
             "residual_history": list(self.residual_history),
+            "residual_norms": list(self.residual_norms),
             "steps": [dict(step) for step in self.steps],
             "boundary_pressure_deviation": self.boundary_pressure_deviation,
             "pressure_info": dict(self.pressure_info),
@@ -231,8 +244,8 @@ class _Problem:
 
     # -- residual and steps ---------------------------------------------------
 
-    def residual(self, psi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, VelocityField]:
-        """Newton residual F in the modal layout, with the velocity of psi.
+    def residual(self, psi: np.ndarray, omega: np.ndarray) -> _Residual:
+        """Newton residual F in the modal layout, with the velocity of psi and its scale.
 
         F holds rfft coefficients, shape (2, n_r, n_modes): F[0] is Lap(psi) +
         omega inside and the slopes on the circles (rows 0, -1), F[1] the
@@ -242,9 +255,10 @@ class _Problem:
         """
         g, bc = self.grid, self.bc
         u = self.velocity(psi)
+        lap_omega = _laplacian(g, omega)
         rows = np.empty((2, g.n_r, g.n_theta))
         rows[0] = _laplacian(g, psi) + omega
-        rows[1] = _laplacian(g, omega) - self.ratio * self.convection_of_vorticity(u, omega)
+        rows[1] = lap_omega - self.ratio * self.convection_of_vorticity(u, omega)
         dpsi = g.diff_r(psi)
         rows[0, 0] = dpsi[0, :] - bc.dpsi_outer
         rows[0, -1] = dpsi[-1, :] - bc.dpsi_inner
@@ -253,15 +267,18 @@ class _Problem:
         rows[1, -1] = psi[-1, :] - bc.psi_inner
         side = float(g.diff_r(omega)[0, :].mean()
                      - self.ratio * self.swirl_momentum(u, u)[0, :].mean())
-        return self._modal(rows, side), u
+        modes = self._modal(rows, side)
+        return _Residual(modes, u, float(np.linalg.norm(modes)),
+                         _modal_norm(omega, lap_omega))
 
-    def picard_update(self, psi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def picard_update(self, res: _Residual) -> tuple[np.ndarray, np.ndarray]:
         """Picard step (dpsi, domega): -F solved with the stream blocks, the lambda = 0 Jacobian.
 
         psi + dpsi solves the Stokes-type problem with the convective terms
-        frozen at (psi, omega).  Raises ValueError on a non-finite residual.
+        frozen at the iterate of ``res``.  Raises ValueError on a non-finite
+        residual.
         """
-        return solve_stream_system(self.grid, -self.residual(psi, omega)[0])
+        return solve_stream_system(self.grid, -res.modes)
 
     def jacobian(self, u: VelocityField, omega: np.ndarray, step: np.ndarray) -> np.ndarray:
         """J @ step at (u, omega), matrix free; ``step`` stacks nodal (dpsi, domega)."""
@@ -327,25 +344,25 @@ class _Problem:
             raise NewtonSingularError(self.cfg.lam, self.flux)
         return step
 
-    def newton_update(self, psi: np.ndarray, omega: np.ndarray):
-        """Newton step (dpsi, domega) and its record ``{"kind": "krylov", ...}``.
+    def newton_update(self, omega: np.ndarray, res: _Residual):
+        """Newton step (dpsi, domega) from ``res`` and its record ``{"kind": "krylov", ...}``.
 
-        The modal Jacobian P, assembled once, right-preconditions GMRES
-        started from P^-1(-F); each block of P is factored when a solve
+        ``res`` is :meth:`residual` at the iterate whose vorticity is
+        ``omega``.  The modal Jacobian P, assembled once, right-preconditions
+        GMRES started from P^-1(-F); each block of P is factored when a solve
         first reaches its mode.  P is exact about a rotationally symmetric
         state, where only its mode-0 block is factored and GMRES takes 0
         iterations.  Raises NewtonSingularError on a singular block or a
         GMRES miss.
         """
-        res, u = self.residual(psi, omega)
+        u = res.u
         factors = factor_blocks(self.modal_jacobian(u, omega))
-        step = self.apply_modal(factors, -res)
+        step = self.apply_modal(factors, -res.modes)
         # F sums terms the size of omega and of Lap(omega): below eps times
         # their size it is rounding, so no tighter linear solve is useful
-        terms = self.grid.to_modes(np.stack([omega, _laplacian(self.grid, omega)]))
-        floor = np.finfo(float).eps * float(np.linalg.norm(terms))
-        target = max(KRYLOV_RTOL * float(np.linalg.norm(res)), floor)
-        rhs = -res - self.jacobian(u, omega, step)
+        floor = np.finfo(float).eps * res.size
+        target = max(KRYLOV_RTOL * res.norm, floor)
+        rhs = -res.modes - self.jacobian(u, omega, step)
         solved = _gmres(lambda v: self.jacobian(u, omega, self.apply_modal(factors, v)),
                         rhs, target, KRYLOV_MAX_ITER)
         if solved is None:
@@ -356,8 +373,46 @@ class _Problem:
         return step[0], step[1], {"kind": "krylov", "gmres_iterations": count}
 
 
+class _Residual(NamedTuple):
+    """F at one iterate (:meth:`_Problem.residual`) with what its consumers read.
+
+    ``norm`` is ||F||; ``size`` is ||modes of (omega, Lap(omega))||, the size
+    of the terms F sums, so F below eps * size is rounding.
+    """
+
+    modes: np.ndarray
+    u: VelocityField
+    norm: float
+    size: float
+
+    @property
+    def relative(self) -> float:
+        """||F|| / size; 0 for F = 0 about omega = 0, where the size is 0 too."""
+        if self.size > 0.0:
+            return self.norm / self.size
+        return 0.0 if self.norm == 0.0 else float("inf")
+
+
 def _laplacian(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
     return scalar_laplacian(ScalarField(grid, values)).values
+
+
+def _modal_norm(*arrays: np.ndarray) -> float:
+    """||rfft|| of nodal arrays along their last (even-length) axis, by Parseval.
+
+    The rfft keeps one of each conjugate pair k, n - k, so it holds the whole
+    spectrum's energy n sum(x^2) once for mode 0 and mode n/2, the plain and
+    the alternating sum of a row, and half of it for the rest.  Two BLAS
+    products replace the FFT.
+    """
+    energy = 0.0
+    for values in arrays:
+        n = values.shape[-1]
+        signs = np.ones((n, 2))
+        signs[1::2, 1] = -1.0
+        sums = values.reshape(-1, n) @ signs
+        energy += n * np.vdot(values, values) + np.vdot(sums, sums)
+    return float(np.sqrt(0.5 * energy))
 
 
 def _gmres(apply: Callable, rhs: np.ndarray, target: float, max_iter: int):
@@ -405,6 +460,7 @@ class _Solution(NamedTuple):
     psi: np.ndarray
     omega: np.ndarray
     history: list[float]
+    residual_norms: list[float]
     steps: list[dict]
     converged: bool
 
@@ -414,6 +470,10 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
              warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> _Solution:
     """Run the configured iteration from the Stokes state or ``warm_start``; measure J.
 
+    F is evaluated once per iterate and feeds the step from it.  After a
+    step is applied the iteration has converged when the step defect is
+    below ``tol`` or, failing that, when ||F|| at the new iterate is at most
+    0.1 tol times the size of the terms F sums.
     On a singular Newton Jacobian or a Krylov miss the step falls back to
     half a Picard step for that iteration, the documented robustness
     fallback near turning points.  A non-finite or blown-up step is not
@@ -429,18 +489,22 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     psi0, omega0 = (psi_stokes, omega_stokes) if stokes or warm_start is None else warm_start
     psi, omega = psi0, omega0
     history: list[float] = []
+    residual_norms: list[float] = []
     steps: list[dict] = []
     converged = stokes
+    if not stokes:
+        res = problem.residual(psi, omega)
+        residual_norms.append(res.relative)
     for _ in range(0 if stokes else cfg.max_iter):
         scale = max(1.0, problem.update_norm(psi - psi0))
         if cfg.method == "picard":
-            dpsi, domega = problem.picard_update(psi, omega)
+            dpsi, domega = problem.picard_update(res)
             step = {"kind": "picard"}
         else:
             try:
-                dpsi, domega, step = problem.newton_update(psi, omega)
+                dpsi, domega, step = problem.newton_update(omega, res)
             except NewtonSingularError:
-                dpsi, domega = problem.picard_update(psi, omega)
+                dpsi, domega = problem.picard_update(res)
                 dpsi, domega = 0.5 * dpsi, 0.5 * domega
                 step = {"kind": "picard-fallback"}
         finite = np.all(np.isfinite(dpsi)) and np.all(np.isfinite(domega))
@@ -456,10 +520,16 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
         if defect < cfg.tol:
             converged = True
             break
+        res = problem.residual(psi, omega)
+        residual_norms.append(res.relative)
+        if res.norm <= 0.1 * cfg.tol * res.size:
+            converged = True
+            break
     u_stokes = problem.velocity(psi_stokes)
     u = problem.velocity(psi)
     w = u - u_stokes
-    return _Solution(u_stokes, u, w, dirichlet_norm(w), psi, omega, history, steps, converged)
+    return _Solution(u_stokes, u, w, dirichlet_norm(w), psi, omega, history, residual_norms,
+                     steps, converged)
 
 
 def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
@@ -483,7 +553,8 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     return SolveReport(
         u=u, w=sol.w, p=p, J=sol.J, flux=trace.flux, lam=cfg.lam, nu=cfg.nu,
         iterations=len(sol.history), converged=sol.converged,
-        residual_history=sol.history, steps=sol.steps, diagnostics=diag,
+        residual_history=sol.history, residual_norms=sol.residual_norms, steps=sol.steps,
+        diagnostics=diag,
         boundary_pressure_deviation=boundary_pressures(p).deviation,
         pressure_info=pinfo, method=cfg.method,
         psi=ScalarField(grid, psi), omega=ScalarField(grid, sol.omega),
@@ -528,14 +599,14 @@ def picard_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> 
     lambda = 0 the result is zero up to rounding.
     """
     problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
-    dpsi, _ = problem.picard_update(psi, omega)
+    dpsi, _ = problem.picard_update(problem.residual(psi, omega))
     return problem.velocity(psi + dpsi) - u_aux
 
 
 def newton_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> VelocityField:
     """One full-linearization step; raises NewtonSingularError as newton_update does."""
     problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
-    dpsi, _, _ = problem.newton_update(psi, omega)
+    dpsi, _, _ = problem.newton_update(omega, problem.residual(psi, omega))
     return problem.velocity(psi + dpsi) - u_aux
 
 

@@ -89,6 +89,21 @@ class TestSolve:
         cfg = write_config(tmp_path, {"boundary": {"preset": "martian"}})
         assert main(["solve", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("nu", [0.03, 0.001])
+    def test_overflowing_boundary_data_rejected(self, tmp_path, capsys, nu):
+        # the spiral's swirl grows as r^(1 + c/nu): about 1e102 on the outer
+        # circle at nu = 0.03, past the float range at nu = 0.001.  The
+        # least-squares pressure squares momentum terms of size |u|^2, so no
+        # finite report exists; the config is refused instead of a traceback
+        cfg = write_config(tmp_path, {
+            "nu": nu,
+            "boundary": {"preset": "spiral", "flux": -64.0, "amplitude": 1.0, "nu": nu},
+        })
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "boundary" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_report_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"])

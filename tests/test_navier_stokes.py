@@ -37,7 +37,7 @@ from annulus_flux import (
     sweep,
     weak_residual,
 )
-from annulus_flux.fields import velocity_l2_norm
+from annulus_flux.fields import scalar_laplacian, velocity_l2_norm
 from annulus_flux import navier_stokes
 from annulus_flux.grid import factor_blocks
 from annulus_flux.navier_stokes import _Problem, energy_cancellation
@@ -165,6 +165,17 @@ class TestSolve:
         assert report.converged
         assert velocity_l2_norm(report.u - u_exact) < 1e-9
 
+    def test_spiral_certified_by_residual_after_one_step(self, fine_grid):
+        # the first Newton step lands on the spiral to rounding; the residual
+        # test certifies it there, without a confirming second step
+        report = solve(fine_grid, spiral_trace(2 * np.pi, 1.0, 1.0), NEWTON)
+        assert report.converged
+        assert report.iterations == 1
+        assert report.residual_history[0] >= NEWTON.tol  # not stopped by the step test
+        norms = report.to_dict()["residual_norms"]
+        assert len(norms) == report.iterations + 1
+        assert norms[-1] <= 0.1 * NEWTON.tol < norms[0]
+
     def test_lambda_zero_returns_stokes(self, grid, spiral_setting):
         trace = spiral_setting[0]
         report = solve(grid, trace, SolverConfig(nu=1.0, lam=0.0))
@@ -230,11 +241,11 @@ class TestSolve:
         original = _Problem.newton_update
         calls = {"n": 0}
 
-        def flaky(self, psi, omega):
+        def flaky(self, omega, res):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NewtonSingularError(self.cfg.lam, self.flux)
-            return original(self, psi, omega)
+            return original(self, omega, res)
 
         monkeypatch.setattr(_Problem, "newton_update", flaky)
         report = solve(grid, trace, NEWTON)
@@ -268,6 +279,12 @@ class TestSweep:
         trace = spiral_trace(1.0, 1.0, 1.0)
         result = sweep(grid, trace, NEWTON, "flux", [-0.05, -0.1])
         assert result.all_converged()
+
+    def test_flux_sweep_one_step_per_point(self, fine_grid):
+        result = sweep(fine_grid, spiral_trace(1.0, 1.0, 1.0), NEWTON, "flux",
+                       [0.0, 1.0, 2.0, 5.0])
+        assert result.all_converged()
+        assert [pt.iterations for pt in result.points] == [1] * 4
 
     def test_values_must_be_monotone(self, grid):
         with pytest.raises(ValueError, match="monotone"):
@@ -337,10 +354,10 @@ class TestNewtonKrylov:
                          bump * np.sin(3 * grid.tt + rng.uniform(0, 6))])
         # the residual is quadratic in the state, so the central quotient
         # is exact up to rounding for any h
-        _, u = problem.residual(psi, omega)
+        u = problem.residual(psi, omega).u
         h = 1e-2
-        plus, _ = problem.residual(psi + h * step[0], omega + h * step[1])
-        minus, _ = problem.residual(psi - h * step[0], omega - h * step[1])
+        plus = problem.residual(psi + h * step[0], omega + h * step[1]).modes
+        minus = problem.residual(psi - h * step[0], omega - h * step[1]).modes
         quotient = (plus - minus) / (2 * h)
         exact = problem.jacobian(u, omega, step)
         assert np.linalg.norm(exact - quotient) < 1e-9 * np.linalg.norm(exact)
@@ -364,11 +381,21 @@ class TestNewtonKrylov:
         assert report.iterations <= 6
         assert all(1 <= step["gmres_iterations"] <= 10 for step in report.steps)
 
+    def test_low_viscosity_fine_grid_stops_on_residual(self):
+        # at nu = 0.01 on 64x128 the step norm floors above tol after step 3
+        # (1e-10 to 2e-9), while the relative residual reaches 1e-12 there
+        g = build_grid(64, 128, 1.0, 2.0)
+        trace = couette_trace(5.0, 0.0) + fourier_trace(
+            1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
+        report = solve(g, trace, SolverConfig(nu=0.01, max_iter=6))
+        assert report.converged
+        assert report.residual_norms[-1] <= 0.1 * NEWTON.tol
+
     def test_krylov_miss_raises(self, grid, monkeypatch):
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
         monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
         with pytest.raises(NewtonSingularError):
-            problem.newton_update(psi, omega)
+            problem.newton_update(omega, problem.residual(psi, omega))
 
     def test_krylov_miss_falls_back_to_picard(self, grid, monkeypatch):
         monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
@@ -391,7 +418,7 @@ class TestNewtonKrylov:
         monkeypatch.setattr(_Problem, "jacobian", poisoned)
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
         with pytest.raises(NewtonSingularError):
-            problem.newton_update(psi, omega)
+            problem.newton_update(omega, problem.residual(psi, omega))
         report = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], replace(NEWTON, max_iter=2))
         assert report.steps == [{"kind": "picard-fallback"}] * 2
 
@@ -446,10 +473,10 @@ class TestNewtonKrylov:
         # about a rotationally symmetric state the preconditioner is the exact
         # Jacobian, so GMRES has nothing left to do
         problem, psi, omega = self._state(fine_grid, spiral_trace(2 * np.pi, 1.0, 1.0))
-        dpsi, domega, record = problem.newton_update(psi, omega)
+        dpsi, domega, record = problem.newton_update(omega, problem.residual(psi, omega))
         assert record == {"kind": "krylov", "gmres_iterations": 0}
         g = fine_grid
-        res, u = problem.residual(psi, omega)
+        res, u = problem.residual(psi, omega)[:2]
         blocks = problem.modal_jacobian(u, omega)
         rhs = -res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r)
         sol = np.stack([np.linalg.solve(block, b) for block, b in zip(blocks, rhs)])
@@ -472,11 +499,11 @@ class TestNewtonKrylov:
         with monkeypatch.context() as m:
             m.setattr(navier_stokes, "factor_blocks", lambda blocks: blocks)
             m.setattr(navier_stokes, "solve_blocks", reference_solve)
-            want = problem.newton_update(psi, omega)
+            want = problem.newton_update(omega, problem.residual(psi, omega))
         made = []
         monkeypatch.setattr(navier_stokes, "factor_blocks",
                             lambda blocks: made.append(factor_blocks(blocks)) or made[-1])
-        got = problem.newton_update(psi, omega)
+        got = problem.newton_update(omega, problem.residual(psi, omega))
         assert len(made) == 1 and np.flatnonzero(made[0].factored).tolist() == factored
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -500,11 +527,26 @@ class TestOneProblem:
             rhs[1, 1:-1] = g.to_modes(conv)[1:-1]
             rhs[1, 0, 0] = problem.ratio * problem.swirl_momentum(u, u)[0, :].mean() * n_theta
             target_psi, target_omega = solve_stream_system(g, rhs)
-            dpsi, domega = problem.picard_update(psi, omega)
+            dpsi, domega = problem.picard_update(problem.residual(psi, omega))
             scale = max(np.max(np.abs(psi)), np.max(np.abs(omega)))
             assert np.max(np.abs(dpsi - (target_psi - psi))) <= 1e-11 * scale
             assert np.max(np.abs(domega - (target_omega - omega))) <= 1e-11 * scale
             psi, omega = psi + dpsi, omega + domega
+
+    @pytest.mark.parametrize("case", sorted(NONAXI_CASES))
+    def test_residual_scale_matches_fft_reference(self, case):
+        # the term size is taken by Parseval from nodal data; the reference
+        # is the norm of the rfft coefficients of (omega, Lap(omega))
+        (n_r, n_theta), trace = NONAXI_CASES[case]
+        g = build_grid(n_r, n_theta, 1.0, 2.0)
+        problem = _Problem.from_trace(g, trace, NEWTON)
+        psi, omega = problem.stokes_state()
+        res = problem.residual(psi, omega)
+        lap = scalar_laplacian(ScalarField(g, omega)).values
+        terms = np.linalg.norm(g.to_modes(np.stack([omega, lap])))
+        assert abs(res.size - terms) <= 1e-14 * terms
+        assert res.norm == np.linalg.norm(res.modes)
+        assert res.relative == res.norm / res.size
 
     def test_lambda_zero_returns_stokes_state(self, grid):
         trace = NONAXI_CASES["couette_k2_32x16"][1]
