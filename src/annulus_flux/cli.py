@@ -18,6 +18,7 @@ repeated runs of the same configuration produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -258,7 +259,13 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not modify it.
+
+    Each ``parse_args`` call fills a fresh namespace, so calls share no
+    parsed state.
+    """
     parser = argparse.ArgumentParser(
         prog="annulus-flux",
         description="Steady Navier-Stokes on the annulus with net boundary flux",

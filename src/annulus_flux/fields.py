@@ -1,7 +1,14 @@
 """Scalar and vector fields on the annulus grid and their calculus.
 
 Fields are value-semantic: nodal arrays are frozen at construction and all
-operations return new fields, so concurrent reads are safe.
+operations return new fields, so concurrent reads are safe.  A scalar field
+also keeps its first derivatives d/dr and d/dtheta, the ones several
+operators read: each is computed on first read, cached with the field (it
+lives and dies with it) and read-only, and equals the grid's ``diff_r`` or
+``diff_theta`` of the values bit for bit.  The operators below read these
+cached derivatives, so operators that differentiate the same field share one
+matrix product and one pair of FFTs.  Second derivatives are read once per
+field, by the Laplacian, and are not kept.
 
 Sign convention, fixed once for the whole package: the stream function
 generates velocity through
@@ -16,6 +23,7 @@ symbolically before the build; every operation below sticks to it.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +34,12 @@ from .grid import PolarGrid, integrate
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Nodal real scalar field, shape (n_r, n_theta), periodic in theta."""
+    """Nodal real scalar field, shape (n_r, n_theta), periodic in theta.
+
+    ``d_r`` and ``d_theta`` are computed on first read and kept, read-only;
+    each is bit-identical to ``grid.diff_r`` or ``grid.diff_theta`` of
+    ``values``.
+    """
 
     grid: PolarGrid
     values: np.ndarray
@@ -34,16 +47,40 @@ class ScalarField:
     def __post_init__(self) -> None:
         # always a private copy: freezing the caller's own array would make it
         # read-only for them, and their later writes would change this field
-        values = np.array(self.values, dtype=float, order="C")
+        object.__setattr__(self, "values", np.array(self.values, dtype=float, order="C"))
+        self._freeze()
+
+    @classmethod
+    def _adopt(cls, grid: PolarGrid, values: np.ndarray) -> "ScalarField":
+        """Field over ``values`` itself, with the checks but no copy.
+
+        For the fresh arrays an operator computes and never touches again:
+        ``values`` becomes read-only.
+        """
+        field = cls.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", np.ascontiguousarray(values, dtype=float))
+        field._freeze()
+        return field
+
+    def _freeze(self) -> None:
+        values = self.values
         if values.shape != (self.grid.n_r, self.grid.n_theta):
             raise ValueError(
                 f"scalar field shape {values.shape} does not match grid "
                 f"({self.grid.n_r}, {self.grid.n_theta})"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("scalar field contains non-finite values")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def d_r(self) -> np.ndarray:
+        return _read_only(self.grid.diff_r(self.values))
+
+    @functools.cached_property
+    def d_theta(self) -> np.ndarray:
+        return _read_only(self.grid.diff_theta(self.values))
 
     @classmethod
     def from_function(cls, grid: PolarGrid, fn: Callable) -> "ScalarField":
@@ -72,6 +109,11 @@ class VelocityField:
         return cls(grid, ScalarField(grid, u_r), ScalarField(grid, u_theta))
 
     @classmethod
+    def _adopt(cls, grid: PolarGrid, u_r: np.ndarray, u_theta: np.ndarray) -> "VelocityField":
+        """Velocity over fresh component arrays without copies, as ``ScalarField._adopt``."""
+        return cls(grid, ScalarField._adopt(grid, u_r), ScalarField._adopt(grid, u_theta))
+
+    @classmethod
     def from_functions(cls, grid: PolarGrid, f_r: Callable, f_theta: Callable) -> "VelocityField":
         return cls.from_arrays(grid, f_r(grid.rr, grid.tt), f_theta(grid.rr, grid.tt))
 
@@ -82,7 +124,7 @@ class VelocityField:
 
     def __add__(self, other: "VelocityField") -> "VelocityField":
         _check_same_grid(self, other)
-        return VelocityField.from_arrays(
+        return VelocityField._adopt(
             self.grid,
             self.u_r.values + other.u_r.values,
             self.u_theta.values + other.u_theta.values,
@@ -90,14 +132,14 @@ class VelocityField:
 
     def __sub__(self, other: "VelocityField") -> "VelocityField":
         _check_same_grid(self, other)
-        return VelocityField.from_arrays(
+        return VelocityField._adopt(
             self.grid,
             self.u_r.values - other.u_r.values,
             self.u_theta.values - other.u_theta.values,
         )
 
     def __mul__(self, c: float) -> "VelocityField":
-        return VelocityField.from_arrays(
+        return VelocityField._adopt(
             self.grid, c * self.u_r.values, c * self.u_theta.values
         )
 
@@ -109,6 +151,11 @@ def _check_same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
 # -- first-order operators ---------------------------------------------------------
 
 
@@ -116,16 +163,16 @@ def divergence(u: VelocityField) -> ScalarField:
     """(1/r) d(r u_r)/dr + (1/r) du_theta/dtheta, spectrally accurate."""
     g = u.grid
     r = g.rr
-    div = g.diff_r(r * u.u_r.values) / r + g.diff_theta(u.u_theta.values) / r
-    return ScalarField(g, div)
+    div = g.diff_r(r * u.u_r.values) / r + u.u_theta.d_theta / r
+    return ScalarField._adopt(g, div)
 
 
 def curl(u: VelocityField) -> ScalarField:
     """Scalar vorticity (1/r)[d(r u_theta)/dr - du_r/dtheta]."""
     g = u.grid
     r = g.rr
-    w = g.diff_r(r * u.u_theta.values) / r - g.diff_theta(u.u_r.values) / r
-    return ScalarField(g, w)
+    w = g.diff_r(r * u.u_theta.values) / r - u.u_r.d_theta / r
+    return ScalarField._adopt(g, w)
 
 
 def curl_of_stream(psi: ScalarField) -> VelocityField:
@@ -136,34 +183,30 @@ def curl_of_stream(psi: ScalarField) -> VelocityField:
     angular/radial derivatives commute exactly on the tensor grid.
     """
     g = psi.grid
-    u_r = g.diff_theta(psi.values) / g.rr
-    u_theta = -g.diff_r(psi.values)
-    return VelocityField.from_arrays(g, u_r, u_theta)
+    return VelocityField._adopt(g, psi.d_theta / g.rr, -psi.d_r)
 
 
 def gradient(f: ScalarField) -> VelocityField:
     """Gradient of a scalar in physical polar components (df/dr, (1/r)df/dtheta)."""
     g = f.grid
-    return VelocityField.from_arrays(
-        g, g.diff_r(f.values), g.diff_theta(f.values) / g.rr
-    )
+    return VelocityField._adopt(g, f.d_r, f.d_theta / g.rr)
 
 
 def scalar_laplacian(f: ScalarField) -> ScalarField:
     g = f.grid
     r = g.rr
-    lap = g.diff_r(f.values, 2) + g.diff_r(f.values) / r + g.diff_theta(f.values, 2) / r**2
-    return ScalarField(g, lap)
+    lap = g.diff_r(f.values, 2) + f.d_r / r + g.diff_theta(f.values, 2) / r**2
+    return ScalarField._adopt(g, lap)
 
 
 def vector_laplacian(u: VelocityField) -> VelocityField:
     """Vector Laplacian in polar components, including the curvature couplings."""
     g = u.grid
     r = g.rr
-    ur, ut = u.u_r.values, u.u_theta.values
-    lap_r = scalar_laplacian(u.u_r).values - ur / r**2 - 2.0 * g.diff_theta(ut) / r**2
-    lap_t = scalar_laplacian(u.u_theta).values - ut / r**2 + 2.0 * g.diff_theta(ur) / r**2
-    return VelocityField.from_arrays(g, lap_r, lap_t)
+    ur, ut = u.u_r, u.u_theta
+    lap_r = scalar_laplacian(ur).values - ur.values / r**2 - 2.0 * ut.d_theta / r**2
+    lap_t = scalar_laplacian(ut).values - ut.values / r**2 + 2.0 * ur.d_theta / r**2
+    return VelocityField._adopt(g, lap_r, lap_t)
 
 
 def advect(v: VelocityField, u: VelocityField) -> VelocityField:
@@ -173,13 +216,12 @@ def advect(v: VelocityField, u: VelocityField) -> VelocityField:
     r = g.rr
     vr, vt = v.u_r.values, v.u_theta.values
 
-    def directional(f: np.ndarray) -> np.ndarray:
-        return vr * g.diff_r(f) + vt * g.diff_theta(f) / r
+    def directional(f: ScalarField) -> np.ndarray:
+        return vr * f.d_r + vt * f.d_theta / r
 
-    ur, ut = u.u_r.values, u.u_theta.values
-    comp_r = directional(ur) - vt * ut / r
-    comp_t = directional(ut) + vt * ur / r
-    return VelocityField.from_arrays(g, comp_r, comp_t)
+    comp_r = directional(u.u_r) - vt * u.u_theta.values / r
+    comp_t = directional(u.u_theta) + vt * u.u_r.values / r
+    return VelocityField._adopt(g, comp_r, comp_t)
 
 
 # -- integral quantities -----------------------------------------------------------
@@ -207,27 +249,27 @@ def _gradient_frame(u: VelocityField) -> tuple[np.ndarray, ...]:
     du_r/dr, (1/r)du_r/dth - u_t/r, du_t/dr, (1/r)du_t/dth + u_r/r: the full
     covariant polar formula, whose squares sum to |grad u|^2.
     """
-    g = u.grid
-    r = g.rr
-    ur, ut = u.u_r.values, u.u_theta.values
+    r = u.grid.rr
+    ur, ut = u.u_r, u.u_theta
     return (
-        g.diff_r(ur),
-        g.diff_theta(ur) / r - ut / r,
-        g.diff_r(ut),
-        g.diff_theta(ut) / r + ur / r,
+        ur.d_r,
+        ur.d_theta / r - ut.values / r,
+        ut.d_r,
+        ut.d_theta / r + ur.values / r,
     )
 
 
 def grad_squared(u: VelocityField) -> ScalarField:
     """Pointwise |grad u|^2; its quadrature reproduces the Cartesian Dirichlet integral."""
     a, b, c, d = _gradient_frame(u)
-    return ScalarField(u.grid, a * a + b * b + c * c + d * d)
+    return ScalarField._adopt(u.grid, a * a + b * b + c * c + d * d)
 
 
 def grad_inner(u: VelocityField, v: VelocityField) -> ScalarField:
     """Pointwise contraction grad(u) : grad(v) in the orthonormal polar frame."""
     _check_same_grid(u, v)
-    return ScalarField(u.grid, sum(x * y for x, y in zip(_gradient_frame(u), _gradient_frame(v))))
+    frames = zip(_gradient_frame(u), _gradient_frame(v))
+    return ScalarField._adopt(u.grid, sum(x * y for x, y in frames))
 
 
 def dirichlet_norm(w: VelocityField) -> float:
@@ -236,19 +278,19 @@ def dirichlet_norm(w: VelocityField) -> float:
 
 
 def l2_norm(f: ScalarField) -> float:
-    return float(np.sqrt(max(integrate(f.grid, ScalarField(f.grid, f.values**2)), 0.0)))
+    return float(np.sqrt(max(integrate(f.grid, ScalarField._adopt(f.grid, f.values**2)), 0.0)))
 
 
 def velocity_l2_norm(u: VelocityField) -> float:
     sq = u.u_r.values**2 + u.u_theta.values**2
-    return float(np.sqrt(max(integrate(u.grid, ScalarField(u.grid, sq)), 0.0)))
+    return float(np.sqrt(max(integrate(u.grid, ScalarField._adopt(u.grid, sq)), 0.0)))
 
 
 def trilinear(v: VelocityField, a: VelocityField, b: VelocityField) -> float:
     """Quadrature of (v . grad) a . b over the annulus."""
     conv = advect(v, a)
     prod = conv.u_r.values * b.u_r.values + conv.u_theta.values * b.u_theta.values
-    return integrate(v.grid, ScalarField(v.grid, prod))
+    return integrate(v.grid, ScalarField._adopt(v.grid, prod))
 
 
 # -- stream function ---------------------------------------------------------------
@@ -289,7 +331,7 @@ def stream_function(w: VelocityField, flux_tol: float = 1e-10,
     mean_ut = g.angular_mean(w.u_theta.values)
     psi += g.radial_antiderivative(-mean_ut)[:, None]
     psi -= psi[-1, 0]
-    return ScalarField(g, psi)
+    return ScalarField._adopt(g, psi)
 
 
 # -- CSV persistence ---------------------------------------------------------------

@@ -96,6 +96,7 @@ class PolarGrid:
     r, theta : 1d node arrays (r decreasing from r_outer to r_inner).
     rr, tt : broadcast (n_r, n_theta) node meshes.
     d_r, d_rr : radial differentiation matrices d/dr, d2/dr2.
+    wavenumbers : the rfft angular wavenumbers 0 .. n_theta/2.
     w_r_line : radial Clenshaw-Curtis weights on [r_inner, r_outer]
         (no Jacobian), for line integrals in r.
     w_area : radial weights including the polar Jacobian r; together
@@ -121,6 +122,8 @@ class PolarGrid:
     d_r: np.ndarray = field(init=False, repr=False, compare=False)
     d_rr: np.ndarray = field(init=False, repr=False, compare=False)
     w_r_line: np.ndarray = field(init=False, repr=False, compare=False)
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    _angular_factors: tuple = field(init=False, repr=False, compare=False)
     w_area: np.ndarray = field(init=False, repr=False, compare=False)
     w_theta: float = field(init=False, compare=False)
     area: float = field(init=False, compare=False)
@@ -143,14 +146,21 @@ class PolarGrid:
         set_(self, "d_r", d_r)
         set_(self, "d_rr", d_r @ d_r)
         set_(self, "w_r_line", w_line)
+        k = np.arange(self.n_theta // 2 + 1)
+        set_(self, "wavenumbers", k)
+        # d/dtheta zeroes the Nyquist coefficient (see diff_theta)
+        d1 = 1j * k
+        d1[-1] = 0.0
+        set_(self, "_angular_factors", (d1, (1j * k) ** 2))
         set_(self, "w_area", w_line * r)
         set_(self, "w_theta", 2.0 * np.pi / self.n_theta)
         set_(self, "area", np.pi * (self.r_outer**2 - self.r_inner**2))
         set_(self, "area_outer_disk", np.pi * self.r_outer**2)
         set_(self, "area_inner_disk", np.pi * self.r_inner**2)
 
-        for name in ("r", "theta", "rr", "tt", "d_r", "d_rr", "w_r_line", "w_area"):
-            getattr(self, name).setflags(write=False)
+        for array in (r, theta, self.rr, self.tt, d_r, self.d_rr, w_line, self.w_area, k,
+                      *self._angular_factors):
+            array.setflags(write=False)
 
     # -- angular spectral helpers -------------------------------------------------
 
@@ -158,10 +168,6 @@ class PolarGrid:
     def n_modes(self) -> int:
         """Number of rfft angular modes, n_theta//2 + 1."""
         return self.n_theta // 2 + 1
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(self.n_modes)
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """rfft along the angular axis."""
@@ -173,16 +179,13 @@ class PolarGrid:
     def diff_theta(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Spectral angular derivative of nodal data (last axis is theta).
 
-        For odd orders the Nyquist coefficient is zeroed, the usual
-        convention that keeps the result real and antisymmetric.
+        The rfft coefficients are multiplied by (i k)^order, kept on the grid.
+        For order 1 the Nyquist coefficient is zeroed, the usual convention
+        that keeps the result real and antisymmetric.
         """
-        coef = self.to_modes(values)
-        k = self.wavenumbers
-        factor = (1j * k) ** order
-        if order % 2 == 1:
-            factor = factor.copy()
-            factor[-1] = 0.0
-        return self.from_modes(coef * factor)
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        return self.from_modes(self.to_modes(values) * self._angular_factors[order - 1])
 
     def diff_r(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Radial derivative of nodal data (first axis is r)."""

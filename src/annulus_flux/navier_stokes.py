@@ -218,23 +218,20 @@ class _Problem:
     def from_trace(cls, grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig) -> "_Problem":
         return cls(grid, cfg, trace.flux, StreamBC.from_trace(grid, trace))
 
-    def velocity(self, psi: np.ndarray) -> VelocityField:
+    def velocity(self, psi: ScalarField) -> VelocityField:
         g = self.grid
-        u_r = self.carrier.u_r.values + g.diff_theta(psi) / g.rr
-        u_t = -g.diff_r(psi)
-        return VelocityField.from_arrays(g, u_r, u_t)
+        u_r = self.carrier.u_r.values + psi.d_theta / g.rr
+        return VelocityField.from_arrays(g, u_r, -psi.d_r)
 
-    def convection_of_vorticity(self, u: VelocityField, omega: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return (u.u_r.values * g.diff_r(omega)
-                + u.u_theta.values * g.diff_theta(omega) / g.rr)
+    def convection_of_vorticity(self, u: VelocityField, omega: ScalarField) -> np.ndarray:
+        return u.u_r.values * omega.d_r + u.u_theta.values * omega.d_theta / self.grid.rr
 
     def swirl_momentum(self, v: VelocityField, w: VelocityField) -> np.ndarray:
         """Nodal theta component of (v.grad)w; (u.grad)u enters the pressure side condition."""
-        g = self.grid
+        rr = self.grid.rr
         vr, vt = v.u_r.values, v.u_theta.values
-        wr, wt = w.u_r.values, w.u_theta.values
-        return vr * g.diff_r(wt) + vt * g.diff_theta(wt) / g.rr + vt * wr / g.rr
+        wt = w.u_theta
+        return vr * wt.d_r + vt * wt.d_theta / rr + vt * w.u_r.values / rr
 
     def stokes_state(self) -> tuple[np.ndarray, np.ndarray]:
         return solve_stream_system(self.grid, self.bc.stokes_rhs(self.grid))
@@ -252,20 +249,23 @@ class _Problem:
         vorticity transport inside and the values on the circles.  The outer
         stream constant is free, so mode 0 of the outer value row holds
         n_theta times the single-valued-pressure side condition instead.
+        psi and omega are wrapped once, so every term shares their
+        derivatives.
         """
         g, bc = self.grid, self.bc
-        u = self.velocity(psi)
-        lap_omega = _laplacian(g, omega)
+        psi_f, omega_f = ScalarField(g, psi), ScalarField(g, omega)
+        u = self.velocity(psi_f)
+        lap_omega = scalar_laplacian(omega_f).values
         rows = np.empty((2, g.n_r, g.n_theta))
-        rows[0] = _laplacian(g, psi) + omega
-        rows[1] = lap_omega - self.ratio * self.convection_of_vorticity(u, omega)
-        dpsi = g.diff_r(psi)
+        rows[0] = scalar_laplacian(psi_f).values + omega
+        rows[1] = lap_omega - self.ratio * self.convection_of_vorticity(u, omega_f)
+        dpsi = psi_f.d_r
         rows[0, 0] = dpsi[0, :] - bc.dpsi_outer
         rows[0, -1] = dpsi[-1, :] - bc.dpsi_inner
         value_outer = psi[0, :] - bc.psi_outer
         rows[1, 0] = value_outer - value_outer.mean()
         rows[1, -1] = psi[-1, :] - bc.psi_inner
-        side = float(g.diff_r(omega)[0, :].mean()
+        side = float(omega_f.d_r[0, :].mean()
                      - self.ratio * self.swirl_momentum(u, u)[0, :].mean())
         modes = self._modal(rows, side)
         return _Residual(modes, u, float(np.linalg.norm(modes)),
@@ -280,22 +280,26 @@ class _Problem:
         """
         return solve_stream_system(self.grid, -res.modes)
 
-    def jacobian(self, u: VelocityField, omega: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """J @ step at (u, omega), matrix free; ``step`` stacks nodal (dpsi, domega)."""
+    def jacobian(self, u: VelocityField, omega: ScalarField, step: np.ndarray) -> np.ndarray:
+        """J @ step at (u, omega), matrix free; ``step`` stacks nodal (dpsi, domega).
+
+        The derivatives of the state (u, omega) are read from its fields, so
+        the products of one Newton step compute them once.
+        """
         g = self.grid
-        dpsi, domega = step
-        du = curl_of_stream(ScalarField(g, dpsi))
+        dpsi, domega = ScalarField(g, step[0]), ScalarField(g, step[1])
+        du = curl_of_stream(dpsi)
         rows = np.empty_like(step)
-        rows[0] = _laplacian(g, dpsi) + domega
-        rows[1] = _laplacian(g, domega) - self.ratio * (
+        rows[0] = scalar_laplacian(dpsi).values + domega.values
+        rows[1] = scalar_laplacian(domega).values - self.ratio * (
             self.convection_of_vorticity(du, omega) + self.convection_of_vorticity(u, domega))
-        slope = g.diff_r(dpsi)
+        slope = dpsi.d_r
         rows[0, 0] = slope[0, :]
         rows[0, -1] = slope[-1, :]
-        rows[1, 0] = dpsi[0, :]
-        rows[1, -1] = dpsi[-1, :]
+        rows[1, 0] = dpsi.values[0, :]
+        rows[1, -1] = dpsi.values[-1, :]
         d_swirl = self.swirl_momentum(du, u) + self.swirl_momentum(u, du)
-        side = float(g.diff_r(domega)[0, :].mean() - self.ratio * d_swirl[0, :].mean())
+        side = float(domega.d_r[0, :].mean() - self.ratio * d_swirl[0, :].mean())
         return self._modal(rows, side)
 
     def _modal(self, rows: np.ndarray, side: float) -> np.ndarray:
@@ -348,22 +352,23 @@ class _Problem:
         """Newton step (dpsi, domega) from ``res`` and its record ``{"kind": "krylov", ...}``.
 
         ``res`` is :meth:`residual` at the iterate whose vorticity is
-        ``omega``.  The modal Jacobian P, assembled once, right-preconditions
-        GMRES started from P^-1(-F); each block of P is factored when a solve
-        first reaches its mode.  P is exact about a rotationally symmetric
-        state, where only its mode-0 block is factored and GMRES takes 0
-        iterations.  Raises NewtonSingularError on a singular block or a
-        GMRES miss.
+        ``omega``.  The state's fields, ``res.u`` and omega wrapped once, keep
+        their derivatives, so every Jacobian product of the step reuses them.
+        The modal Jacobian P, assembled once, right-preconditions GMRES
+        started from P^-1(-F); each block of P is factored when a solve first
+        reaches its mode.  P is exact about a rotationally symmetric state,
+        where only its mode-0 block is factored and GMRES takes 0 iterations.
+        Raises NewtonSingularError on a singular block or a GMRES miss.
         """
-        u = res.u
+        u, vorticity = res.u, ScalarField(self.grid, omega)
         factors = factor_blocks(self.modal_jacobian(u, omega))
         step = self.apply_modal(factors, -res.modes)
         # F sums terms the size of omega and of Lap(omega): below eps times
         # their size it is rounding, so no tighter linear solve is useful
         floor = np.finfo(float).eps * res.size
         target = max(KRYLOV_RTOL * res.norm, floor)
-        rhs = -res.modes - self.jacobian(u, omega, step)
-        solved = _gmres(lambda v: self.jacobian(u, omega, self.apply_modal(factors, v)),
+        rhs = -res.modes - self.jacobian(u, vorticity, step)
+        solved = _gmres(lambda v: self.jacobian(u, vorticity, self.apply_modal(factors, v)),
                         rhs, target, KRYLOV_MAX_ITER)
         if solved is None:
             raise NewtonSingularError(self.cfg.lam, self.flux)
@@ -391,10 +396,6 @@ class _Residual(NamedTuple):
         if self.size > 0.0:
             return self.norm / self.size
         return 0.0 if self.norm == 0.0 else float("inf")
-
-
-def _laplacian(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
-    return scalar_laplacian(ScalarField(grid, values)).values
 
 
 def _modal_norm(*arrays: np.ndarray) -> float:
@@ -516,7 +517,7 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
         psi = psi + cfg.damping * dpsi
         omega = omega + cfg.damping * domega
         if on_iterate is not None:
-            on_iterate(problem.velocity(psi))
+            on_iterate(problem.velocity(ScalarField(grid, psi)))
         if defect < cfg.tol:
             converged = True
             break
@@ -525,8 +526,8 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
         if res.norm <= 0.1 * cfg.tol * res.size:
             converged = True
             break
-    u_stokes = problem.velocity(psi_stokes)
-    u = problem.velocity(psi)
+    u_stokes = problem.velocity(ScalarField(grid, psi_stokes))
+    u = problem.velocity(ScalarField(grid, psi))
     w = u - u_stokes
     return _Solution(u_stokes, u, w, dirichlet_norm(w), psi, omega, history, residual_norms,
                      steps, converged)
@@ -600,14 +601,14 @@ def picard_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> 
     """
     problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
     dpsi, _ = problem.picard_update(problem.residual(psi, omega))
-    return problem.velocity(psi + dpsi) - u_aux
+    return problem.velocity(ScalarField(problem.grid, psi + dpsi)) - u_aux
 
 
 def newton_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> VelocityField:
     """One full-linearization step; raises NewtonSingularError as newton_update does."""
     problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
     dpsi, _, _ = problem.newton_update(omega, problem.residual(psi, omega))
-    return problem.velocity(psi + dpsi) - u_aux
+    return problem.velocity(ScalarField(problem.grid, psi + dpsi)) - u_aux
 
 
 # -- continuation -------------------------------------------------------------------
@@ -677,10 +678,11 @@ def weak_residual(grid: PolarGrid, w: VelocityField, u_aux: VelocityField,
     is evaluated by quadrature and normalized by the Dirichlet norm of eta.
     """
     worst = 0.0
+    total = w + u_aux
     for eta in divergence_free_test_fields(grid, n_radial, n_angular):
         lhs = cfg.nu * integrate(grid, grad_inner(w, eta))
         rhs = cfg.lam * (
-            trilinear(w + u_aux, eta, w)
+            trilinear(total, eta, w)
             + trilinear(w, eta, u_aux)
             + trilinear(u_aux, eta, u_aux)
         )

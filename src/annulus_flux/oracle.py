@@ -23,6 +23,7 @@ interesting output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,6 +240,16 @@ def amick_flow(grid: PolarGrid, profile: AmickProfile) -> tuple[VelocityField, S
 _DROP_RULE_POINTS = 257
 
 
+@functools.cache
+def _drop_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and Clenshaw-Curtis weights of the drop rule on [-1, 1], built once, read-only."""
+    x, _ = chebyshev_diff_matrix(_DROP_RULE_POINTS)
+    w = clenshaw_curtis_weights(_DROP_RULE_POINTS)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def amick_pressure_drop(profile: AmickProfile) -> float:
     """Boundary pressure difference p(r_outer) - p(r_inner) of the Euler flow.
 
@@ -251,8 +262,8 @@ def amick_pressure_drop(profile: AmickProfile) -> float:
         lo, hi = profile.params[0], profile.params[1]
     else:
         lo, hi = profile.r_inner, profile.r_outer
-    x, _ = chebyshev_diff_matrix(_DROP_RULE_POINTS)
+    x, weights = _drop_rule()
     half = 0.5 * (hi - lo)
     r = lo + half * (x + 1.0)
-    w = clenshaw_curtis_weights(_DROP_RULE_POINTS) * half
+    w = weights * half
     return float(profile.lambda0 * np.sum(w * profile(r) ** 2 / r))

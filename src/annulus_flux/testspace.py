@@ -8,6 +8,8 @@ test fields for the weak formulation.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .fields import ScalarField, VelocityField, curl_of_stream
@@ -26,9 +28,12 @@ def clamped_radial_profiles(grid: PolarGrid, count: int) -> list[np.ndarray]:
 
 
 def divergence_free_test_fields(grid: PolarGrid, n_radial: int = 4,
-                                n_angular: int = 3) -> list[VelocityField]:
-    """Curls of the clamped stream family, zero trace and exactly solenoidal."""
-    fields = []
+                                n_angular: int = 3) -> Iterator[VelocityField]:
+    """Curls of the clamped stream family, zero trace and exactly solenoidal.
+
+    Yielded one at a time, so a caller that differentiates each field holds
+    one field's cached derivatives, not the whole family's.
+    """
     for profile in clamped_radial_profiles(grid, n_radial):
         base = profile[:, None]
         angulars = [np.ones(grid.n_theta)]
@@ -39,5 +44,4 @@ def divergence_free_test_fields(grid: PolarGrid, n_radial: int = 4,
             angulars.append(np.sin(n * grid.theta))
         for ang in angulars:
             psi = ScalarField(grid, base * ang[None, :])
-            fields.append(curl_of_stream(psi))
-    return fields
+            yield curl_of_stream(psi)

@@ -153,6 +153,22 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--quiet"]) == 3
 
 
+def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
+    # one parser serves every call in a process: the options of one call
+    # must not carry over to the next
+    cfg = write_config(tmp_path, {
+        "output": {"directory": str(tmp_path / "from_config")},
+        "sweep": {"parameter": "lambda", "values": [0.5, 1.0]},
+    })
+    solve_out = tmp_path / "solve"
+    assert main(["solve", "--config", str(cfg), "--out", str(solve_out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert "lambda = +1.0000" in capsys.readouterr().out
+    assert (tmp_path / "from_config" / "trace.csv").exists()
+    assert not (solve_out / "trace.csv").exists()
+
+
 class TestVerify:
     def test_default_grid_passes(self, capsys):
         assert main(["verify"]) == 0

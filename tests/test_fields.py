@@ -27,13 +27,16 @@ from annulus_flux import (
 )
 from annulus_flux.fields import (
     flux_through_circle,
+    gradient,
     grad_inner,
     grad_squared,
     l2_norm,
+    scalar_laplacian,
     trilinear,
     velocity_l2_norm,
     write_scalar_csv,
 )
+from annulus_flux.navier_stokes import SolverConfig, weak_residual
 from annulus_flux.testspace import divergence_free_test_fields
 
 
@@ -237,6 +240,85 @@ def test_scalar_field_leaves_caller_array_writeable():
     assert not field.values.flags.writeable
     a[0, 0] = 1.0
     assert field.values[0, 0] == 0.0
+
+
+def test_operator_results_are_frozen_and_not_copied(grid):
+    a = np.ones((grid.n_r, grid.n_theta))
+    u = VelocityField.from_arrays(grid, a, a)
+    a[0, 0] = 5.0
+    assert u.u_r.values[0, 0] == 1.0 and u.u_theta.values[0, 0] == 1.0
+    grad = gradient(u.u_theta)
+    assert np.shares_memory(grad.u_r.values, u.u_theta.d_r)
+    for field in (grad.u_r, grad.u_theta, (u + u).u_r, (2.0 * u).u_theta, divergence(u)):
+        assert not field.values.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (64, 128)])
+def test_cached_derivatives_match_grid_operators(shape):
+    g = build_grid(*shape, 1.0, 2.0)
+    f = ScalarField(g, np.random.default_rng(5).standard_normal(shape))
+    assert np.array_equal(f.d_r, g.diff_r(f.values))
+    assert np.array_equal(f.d_theta, g.diff_theta(f.values))
+    # the Laplacian reads the cached first derivatives and the grid's second ones
+    lap = (g.diff_r(f.values, 2) + g.diff_r(f.values) / g.rr
+           + g.diff_theta(f.values, 2) / g.rr**2)
+    assert np.array_equal(scalar_laplacian(f).values, lap)
+    with pytest.raises(ValueError, match="order"):
+        g.diff_theta(f.values, 3)
+
+
+def test_cached_derivatives_are_kept_and_read_only(grid):
+    f = ScalarField.from_function(grid, lambda r, t: r**2 * np.sin(t))
+    for name in ("d_r", "d_theta"):
+        cached = getattr(f, name)
+        assert getattr(f, name) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid.wavenumbers[0] = 1
+
+
+def _weak_residual_reference(grid, w, u_aux, cfg):
+    """The weak form with every derivative taken by the grid, once per use.
+
+    Each test field is differentiated again in each of its three trilinear
+    terms, as ``advect`` did before fields cached their derivatives.
+    """
+    r = grid.rr
+
+    def frame(u):
+        ur, ut = u.u_r.values, u.u_theta.values
+        return (grid.diff_r(ur), grid.diff_theta(ur) / r - ut / r,
+                grid.diff_r(ut), grid.diff_theta(ut) / r + ur / r)
+
+    def trilinear_ref(v, a, b):
+        vr, vt = v.u_r.values, v.u_theta.values
+        ar, at = a.u_r.values, a.u_theta.values
+        conv_r = vr * grid.diff_r(ar) + vt * grid.diff_theta(ar) / r - vt * at / r
+        conv_t = vr * grid.diff_r(at) + vt * grid.diff_theta(at) / r + vt * ar / r
+        return integrate(grid, conv_r * b.u_r.values + conv_t * b.u_theta.values)
+
+    worst = 0.0
+    for eta in divergence_free_test_fields(grid, 4, 3):
+        lhs = cfg.nu * integrate(grid, sum(x * y for x, y in zip(frame(w), frame(eta))))
+        rhs = cfg.lam * (trilinear_ref(w + u_aux, eta, w) + trilinear_ref(w, eta, u_aux)
+                         + trilinear_ref(u_aux, eta, u_aux))
+        a, b, c, d = frame(eta)
+        norm = float(np.sqrt(max(integrate(grid, a * a + b * b + c * c + d * d), 0.0)))
+        if norm > 0:
+            worst = max(worst, abs(lhs - rhs) / norm)
+    return worst
+
+
+def test_weak_residual_matches_uncached_reference(grid):
+    w = curl_of_stream(ScalarField.from_function(
+        grid, lambda r, t: (r - 1) ** 2 * (2 - r) ** 2 * (1 + np.sin(2 * t) + np.cos(t))))
+    u_aux = flux_carrier(grid, 0.7) + VelocityField.from_functions(
+        grid, lambda r, t: np.cos(3 * t) / r, lambda r, t: r + np.sin(t))
+    cfg = SolverConfig(nu=0.3, lam=0.8)
+    got = weak_residual(grid, w, u_aux, cfg)
+    assert got > 0.0
+    assert got == _weak_residual_reference(grid, w, u_aux, cfg)
 
 
 def test_scalar_field_rejects_nonfinite(grid):

@@ -359,7 +359,7 @@ class TestNewtonKrylov:
         plus = problem.residual(psi + h * step[0], omega + h * step[1]).modes
         minus = problem.residual(psi - h * step[0], omega - h * step[1]).modes
         quotient = (plus - minus) / (2 * h)
-        exact = problem.jacobian(u, omega, step)
+        exact = problem.jacobian(u, ScalarField(grid, omega), step)
         assert np.linalg.norm(exact - quotient) < 1e-9 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("case", sorted(NONAXI_CASES))
@@ -521,9 +521,9 @@ class TestOneProblem:
         problem = _Problem.from_trace(g, trace, PICARD)
         psi, omega = problem.stokes_state()
         for _ in range(3):
-            u = problem.velocity(psi)
+            u = problem.velocity(ScalarField(g, psi))
             rhs = problem.bc.stokes_rhs(g)
-            conv = problem.ratio * problem.convection_of_vorticity(u, omega)
+            conv = problem.ratio * problem.convection_of_vorticity(u, ScalarField(g, omega))
             rhs[1, 1:-1] = g.to_modes(conv)[1:-1]
             rhs[1, 0, 0] = problem.ratio * problem.swirl_momentum(u, u)[0, :].mean() * n_theta
             target_psi, target_omega = solve_stream_system(g, rhs)

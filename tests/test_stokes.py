@@ -223,7 +223,7 @@ def test_modal_jacobian_at_lambda_zero_is_stream_blocks(grid):
         1.0, 2.0, normal_outer={3: 0.2}, angular_inner={2: 0.1})
     problem = _Problem.from_trace(grid, tr, SolverConfig(lam=0.0))
     psi, omega = problem.stokes_state()
-    blocks = problem.modal_jacobian(problem.velocity(psi), omega)
+    blocks = problem.modal_jacobian(problem.velocity(ScalarField(grid, psi)), omega)
     stream = np.stack(reference_blocks(grid)[0])
     assert np.array_equal(grid.stream_blocks(), stream)
     assert np.array_equal(blocks, stream)
@@ -235,7 +235,8 @@ def test_solve_blocks_matches_lu_solve_per_block(grid):
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
     problem = _Problem.from_trace(grid, tr, SolverConfig())
     psi, omega = problem.stokes_state()
-    complex_factors = factor_blocks(problem.modal_jacobian(problem.velocity(psi), omega))
+    u = problem.velocity(ScalarField(grid, psi))
+    complex_factors = factor_blocks(problem.modal_jacobian(u, omega))
     for factors in (grid.stream_lu, grid.neumann_lu, complex_factors):
         lu, piv = factors.lu, factors.piv
         for shape in ((len(lu), lu.shape[1], 2), (len(lu), lu.shape[1])):
@@ -254,7 +255,8 @@ def test_factor_blocks_matches_lu_factor_per_block(grid):
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
     problem = _Problem.from_trace(grid, tr, SolverConfig())
     psi, omega = problem.stokes_state()
-    for blocks in (grid.stream_blocks(), problem.modal_jacobian(problem.velocity(psi), omega)):
+    u = problem.velocity(ScalarField(grid, psi))
+    for blocks in (grid.stream_blocks(), problem.modal_jacobian(u, omega)):
         want = [lu_factor(block) for block in blocks]
         factors = factor_blocks(blocks)
         solve_blocks(factors, np.ones(factors.piv.shape))  # reach every mode
