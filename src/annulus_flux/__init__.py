@@ -53,8 +53,6 @@ from .navier_stokes import (
     SolveReport,
     SolverConfig,
     SweepPoint,
-    newton_step,
-    picard_step,
     solve,
     sweep,
     weak_residual,
@@ -71,7 +69,6 @@ from .oracle import (
 from .stokes import (
     StokesSolution,
     pressure_from_momentum,
-    pressure_poisson,
     stokes_solve,
 )
 

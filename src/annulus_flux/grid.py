@@ -84,7 +84,7 @@ class PolarGrid:
 
     Differentiation and quadrature operators are computed at construction.
     The per-mode operators (the mode Laplacians and the block stacks of the
-    stream, Dirichlet and Neumann systems) are built on first use and kept;
+    stream and Neumann systems) are built on first use and kept;
     a block of a stack is LU-factored when a solve first reaches its mode.
     :func:`build_grid` applies the precondition checks and hands every caller
     asking for the same grid one shared instance, so its arrays are read-only
@@ -105,8 +105,8 @@ class PolarGrid:
     area, area_outer_disk, area_inner_disk : measures of Omega,
         Omega_1 (disk bounded by Gamma_1) and Omega_2 (hole).
     mode_laplacians : (n_modes, n_r, n_r) stack of Lap_k.
-    stream_lu, dirichlet_lu, neumann_lu : :class:`BlockFactors` of the
-        per-mode systems, for :func:`solve_blocks`.
+    stream_lu, neumann_lu : :class:`BlockFactors` of the per-mode
+        systems, for :func:`solve_blocks`.
     """
 
     n_r: int
@@ -258,17 +258,6 @@ class PolarGrid:
     @functools.cached_property
     def stream_lu(self) -> BlockFactors:
         return factor_blocks(self.stream_blocks())
-
-    @functools.cached_property
-    def dirichlet_lu(self) -> BlockFactors:
-        """Lap_k with value rows on both circles."""
-        n = self.n_r
-        m = _block_stack(self.n_modes, n)
-        m[:] = self.mode_laplacians
-        m[:, [0, n - 1]] = 0.0
-        m[:, 0, 0] = 1.0
-        m[:, n - 1, n - 1] = 1.0
-        return factor_blocks(m)
 
     @functools.cached_property
     def neumann_lu(self) -> BlockFactors:

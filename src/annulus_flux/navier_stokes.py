@@ -57,13 +57,10 @@ from .diagnostics import DiagnosticsRecord, boundary_pressures, diagnostics_for_
 from .fields import (
     ScalarField,
     VelocityField,
-    curl,
     curl_of_stream,
     dirichlet_norm,
-    flux_inner,
     grad_inner,
     scalar_laplacian,
-    stream_function,
     trilinear,
 )
 from .grid import BlockFactors, PolarGrid, factor_blocks, integrate, solve_blocks
@@ -249,8 +246,8 @@ class _Problem:
         vorticity transport inside and the values on the circles.  The outer
         stream constant is free, so mode 0 of the outer value row holds
         n_theta times the single-valued-pressure side condition instead.
-        psi and omega are wrapped once, so every term shares their
-        derivatives.
+        psi and omega are wrapped once, so every term, and the Newton step
+        from ``res.u`` and ``res.omega``, shares their derivatives.
         """
         g, bc = self.grid, self.bc
         psi_f, omega_f = ScalarField(g, psi), ScalarField(g, omega)
@@ -268,7 +265,7 @@ class _Problem:
         side = float(omega_f.d_r[0, :].mean()
                      - self.ratio * self.swirl_momentum(u, u)[0, :].mean())
         modes = self._modal(rows, side)
-        return _Residual(modes, u, float(np.linalg.norm(modes)),
+        return _Residual(modes, u, omega_f, float(np.linalg.norm(modes)),
                          _modal_norm(omega, lap_omega))
 
     def picard_update(self, res: _Residual) -> tuple[np.ndarray, np.ndarray]:
@@ -348,20 +345,20 @@ class _Problem:
             raise NewtonSingularError(self.cfg.lam, self.flux)
         return step
 
-    def newton_update(self, omega: np.ndarray, res: _Residual):
+    def newton_update(self, res: _Residual):
         """Newton step (dpsi, domega) from ``res`` and its record ``{"kind": "krylov", ...}``.
 
-        ``res`` is :meth:`residual` at the iterate whose vorticity is
-        ``omega``.  The state's fields, ``res.u`` and omega wrapped once, keep
-        their derivatives, so every Jacobian product of the step reuses them.
+        ``res`` is :meth:`residual` at the iterate.  Its state fields,
+        ``res.u`` and ``res.omega``, keep their derivatives, so every
+        Jacobian product of the step reuses them.
         The modal Jacobian P, assembled once, right-preconditions GMRES
         started from P^-1(-F); each block of P is factored when a solve first
         reaches its mode.  P is exact about a rotationally symmetric state,
         where only its mode-0 block is factored and GMRES takes 0 iterations.
         Raises NewtonSingularError on a singular block or a GMRES miss.
         """
-        u, vorticity = res.u, ScalarField(self.grid, omega)
-        factors = factor_blocks(self.modal_jacobian(u, omega))
+        u, vorticity = res.u, res.omega
+        factors = factor_blocks(self.modal_jacobian(u, vorticity.values))
         step = self.apply_modal(factors, -res.modes)
         # F sums terms the size of omega and of Lap(omega): below eps times
         # their size it is rounding, so no tighter linear solve is useful
@@ -381,12 +378,15 @@ class _Problem:
 class _Residual(NamedTuple):
     """F at one iterate (:meth:`_Problem.residual`) with what its consumers read.
 
-    ``norm`` is ||F||; ``size`` is ||modes of (omega, Lap(omega))||, the size
-    of the terms F sums, so F below eps * size is rounding.
+    ``u`` and ``omega`` are the iterate's velocity and vorticity fields, with
+    their cached derivatives.  ``norm`` is ||F||; ``size`` is ||modes of
+    (omega, Lap(omega))||, the size of the terms F sums, so F below
+    eps * size is rounding.
     """
 
     modes: np.ndarray
     u: VelocityField
+    omega: ScalarField
     norm: float
     size: float
 
@@ -503,7 +503,7 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
             step = {"kind": "picard"}
         else:
             try:
-                dpsi, domega, step = problem.newton_update(omega, res)
+                dpsi, domega, step = problem.newton_update(res)
             except NewtonSingularError:
                 dpsi, domega = problem.picard_update(res)
                 dpsi, domega = 0.5 * dpsi, 0.5 * domega
@@ -560,55 +560,6 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
         pressure_info=pinfo, method=cfg.method,
         psi=ScalarField(grid, psi), omega=ScalarField(grid, sol.omega),
     )
-
-
-# -- single-step operations ---------------------------------------------------------
-
-
-def _state_from_fields(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig,
-                       trace_tol: float = 1e-8):
-    """Reconstruct the (psi, omega) state and problem from (w_m, U)."""
-    g = u_aux.grid
-    bnd_scale = max(1.0, float(np.max(np.abs(w_m.u_r.values))),
-                    float(np.max(np.abs(w_m.u_theta.values))))
-    bnd = max(
-        float(np.max(np.abs(w_m.u_r.values[[0, -1], :]))),
-        float(np.max(np.abs(w_m.u_theta.values[[0, -1], :]))),
-    )
-    if bnd > trace_tol * bnd_scale:
-        raise ValueError(f"w must have zero boundary trace (max boundary value {bnd:.3e})")
-    flux = flux_inner(u_aux)
-    carrier = flux_carrier(g, flux)
-    psi_aux = stream_function(u_aux - carrier)
-    psi_w = stream_function(w_m)
-    psi = psi_aux.values + psi_w.values
-    # first-derivative curl of the data is an order of magnitude less noisy
-    # than -Lap(psi); the carrier is curl free
-    omega = curl(w_m + u_aux).values
-    dpsi = g.diff_r(psi)
-    bc = StreamBC(psi_outer=psi[0, :], dpsi_outer=dpsi[0, :],
-                  psi_inner=psi[-1, :], dpsi_inner=dpsi[-1, :])
-    problem = _Problem(g, cfg, flux, bc)
-    return problem, psi, omega
-
-
-def picard_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> VelocityField:
-    """One frozen-coefficient fixed-point step; returns the next zero-trace part.
-
-    The stream-block solve of the Newton residual at w_m: the Stokes-type
-    linear problem whose convective terms are evaluated at w_m.  At
-    lambda = 0 the result is zero up to rounding.
-    """
-    problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
-    dpsi, _ = problem.picard_update(problem.residual(psi, omega))
-    return problem.velocity(ScalarField(problem.grid, psi + dpsi)) - u_aux
-
-
-def newton_step(w_m: VelocityField, u_aux: VelocityField, cfg: SolverConfig) -> VelocityField:
-    """One full-linearization step; raises NewtonSingularError as newton_update does."""
-    problem, psi, omega = _state_from_fields(w_m, u_aux, cfg)
-    dpsi, _, _ = problem.newton_update(omega, problem.residual(psi, omega))
-    return problem.velocity(ScalarField(problem.grid, psi + dpsi)) - u_aux
 
 
 # -- continuation -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Linear spectral solvers: the auxiliary Stokes problem and Poisson problems.
+"""Linear spectral solvers: the auxiliary Stokes problem and the pressure.
 
 Everything here reduces to independent boundary-value problems in r, one per
 angular Fourier mode: dense collocation matrices with boundary rows replaced.
@@ -132,7 +132,7 @@ def stokes_solve(grid: PolarGrid, trace: BoundaryTrace, nu: float = 1.0) -> Stok
                           trace_error=trace_error, norm_ratio=ratio)
 
 
-# -- Poisson solvers ----------------------------------------------------------------
+# -- pressure -----------------------------------------------------------------------
 
 
 def _solve_modal(factors, rhs_modes: np.ndarray) -> np.ndarray:
@@ -151,26 +151,6 @@ def _solve_modal(factors, rhs_modes: np.ndarray) -> np.ndarray:
         raise ValueError("modal right-hand side contains infs or NaNs")
     sol = solve_blocks(factors, rhs)
     return np.ascontiguousarray((sol[..., 0] + 1j * sol[..., 1]).T)
-
-
-def pressure_poisson(grid: PolarGrid, w: VelocityField, p1: float, p2: float,
-                     div_tol: float = 1e-8) -> ScalarField:
-    """Solve -Lap p = div[(w.grad) w] with p = p1 on Gamma_1, p = p2 on Gamma_2.
-
-    Solved directly per angular mode with collocated Dirichlet rows, so the
-    boundary values are reproduced exactly at the boundary nodes.
-    """
-    div_res = l2_norm(divergence(w))
-    if div_res > div_tol:
-        raise ValueError(f"w is not solenoidal (divergence L2 = {div_res:.3e})")
-    forcing = divergence(advect(w, w))
-    rhs_modes = grid.to_modes(-forcing.values)
-    rhs_modes[0, :] = 0.0
-    rhs_modes[-1, :] = 0.0
-    rhs_modes[0, 0] = p1 * grid.n_theta
-    rhs_modes[-1, 0] = p2 * grid.n_theta
-    values = grid.from_modes(_solve_modal(grid.dirichlet_lu, rhs_modes))
-    return ScalarField(grid, values)
 
 
 def pressure_from_momentum(grid: PolarGrid, u: VelocityField, lam: float, nu: float,

@@ -172,10 +172,9 @@ def test_build_grid_shares_one_grid_and_its_factors(tmp_path):
     g = build_grid(32, 64, 1.0, 2.0)
     assert build_grid(32, 64, 1.0, 2.0) is g
     assert g.stream_lu is g.stream_lu
-    assert g.dirichlet_lu is g.dirichlet_lu
     assert g.neumann_lu is g.neumann_lu
     # the shared stacks stay read-only to callers once a solve has factored them
-    for factors in (g.stream_lu, g.dirichlet_lu, g.neumann_lu):
+    for factors in (g.stream_lu, g.neumann_lu):
         solve_blocks(factors, np.ones(factors.piv.shape))
         assert factors.factored.all()
         for stack in (factors.lu, factors.piv, factors.factored):

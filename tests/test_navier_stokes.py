@@ -21,19 +21,18 @@ from annulus_flux import (
     build_grid,
     couette,
     couette_trace,
+    curl,
     curl_of_stream,
-    dirichlet_norm,
     flux_carrier,
     flux_inner,
     fourier_trace,
-    newton_step,
-    picard_step,
     pure_flux_trace,
     radial_source,
     solve,
     spiral_flow,
     spiral_trace,
     stokes_solve,
+    stream_function,
     sweep,
     weak_residual,
 )
@@ -65,37 +64,49 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
-class TestPicardStep:
-    def test_lambda_zero_contracts_to_zero(self, grid, spiral_setting):
-        trace, u_exact, _, u_stokes = spiral_setting
-        w_any = u_exact - u_stokes
-        w_next = picard_step(w_any, u_stokes, SolverConfig(lam=0.0))
-        assert dirichlet_norm(w_next) < 1e-10
+def spiral_state(grid, cfg):
+    """The exact spiral of ``spiral_setting`` as a solver state: (problem, psi, omega).
 
-    def test_exact_solution_is_fixed_point(self, grid, spiral_setting):
-        trace, u_exact, _, u_stokes = spiral_setting
-        w_star = u_exact - u_stokes
-        w_next = picard_step(w_star, u_stokes, NEWTON)
-        assert dirichlet_norm(w_next - w_star) < 1e-8
+    The spiral is axisymmetric, so the stream function of its zero-flux part,
+    zero on the inner circle, is in the gauge of the clamped stream data.
+    """
+    u_exact, _ = spiral_flow(grid, 2 * np.pi, 1.0, 1.0)
+    psi = stream_function(u_exact - flux_carrier(grid, 2 * np.pi)).values
+    omega = curl(u_exact).values
+    return _Problem.from_trace(grid, spiral_trace(2 * np.pi, 1.0, 1.0), cfg), psi, omega
+
+
+class TestPicardStep:
+    def test_lambda_zero_contracts_to_zero(self, grid):
+        # at lambda = 0 one step from any state lands on the Stokes state
+        problem, psi, omega = spiral_state(grid, SolverConfig(lam=0.0))
+        dpsi, _ = problem.picard_update(problem.residual(psi, omega))
+        psi_stokes, _ = problem.stokes_state()
+        assert problem.update_norm(psi + dpsi - psi_stokes) < 1e-10
+
+    def test_exact_solution_is_fixed_point(self, grid):
+        problem, psi, omega = spiral_state(grid, NEWTON)
+        dpsi, _ = problem.picard_update(problem.residual(psi, omega))
+        assert problem.update_norm(dpsi) < 1e-8
 
     def test_contraction_at_small_data(self, grid):
         # measured Lipschitz quotient of the fixed-point map at nu = 1,
         # flux = 0.1: well below one
-        trace = spiral_trace(0.1, 0.2, 1.0)
-        u_stokes = stokes_solve(grid, trace).velocity
+        problem = _Problem.from_trace(grid, spiral_trace(0.1, 0.2, 1.0), PICARD)
+        psi_stokes, omega_stokes = problem.stokes_state()
         bump = ScalarField.from_function(
             grid, lambda r, t: (r - 1) ** 2 * (2 - r) ** 2 * np.cos(t))
-        w_a = 0.05 * curl_of_stream(bump)
-        w_b = -0.03 * curl_of_stream(bump)
-        ga = picard_step(w_a, u_stokes, PICARD)
-        gb = picard_step(w_b, u_stokes, PICARD)
-        q = dirichlet_norm(ga - gb) / dirichlet_norm(w_a - w_b)
-        assert q < 1.0
+        lap_bump = scalar_laplacian(bump).values
 
-    def test_rejects_nonzero_trace(self, grid, spiral_setting):
-        _, u_exact, _, u_stokes = spiral_setting
-        with pytest.raises(ValueError, match="zero boundary trace"):
-            picard_step(u_exact, u_stokes, PICARD)
+        def fixed_point_map(c):
+            psi = psi_stokes + c * bump.values
+            dpsi, _ = problem.picard_update(
+                problem.residual(psi, omega_stokes - c * lap_bump))
+            return psi + dpsi
+
+        q = (problem.update_norm(fixed_point_map(0.05) - fixed_point_map(-0.03))
+             / problem.update_norm(0.08 * bump.values))
+        assert q < 1.0
 
 
 class TestNewtonStep:
@@ -104,23 +115,20 @@ class TestNewtonStep:
         # fourth-order collocation residual; the L2 correction sits below
         # 1e-12 there (the Dirichlet-norm correction is bounded separately)
         g = build_grid(24, 16, 1.0, 2.0)
-        u_exact, _ = spiral_flow(g, 2 * np.pi, 1.0, 1.0)
-        u_stokes = stokes_solve(g, spiral_trace(2 * np.pi, 1.0, 1.0)).velocity
-        w_star = u_exact - u_stokes
-        w_next = newton_step(w_star, u_stokes, NEWTON)
-        assert velocity_l2_norm(w_next - w_star) < 1e-12
+        problem, psi, omega = spiral_state(g, NEWTON)
+        dpsi, _, _ = problem.newton_update(problem.residual(psi, omega))
+        assert velocity_l2_norm(curl_of_stream(ScalarField(g, dpsi))) < 1e-12
 
-    def test_correction_dirichlet_norm_small(self, grid, spiral_setting):
-        _, u_exact, _, u_stokes = spiral_setting
-        w_star = u_exact - u_stokes
-        w_next = newton_step(w_star, u_stokes, NEWTON)
-        assert dirichlet_norm(w_next - w_star) < 1e-10
+    def test_correction_dirichlet_norm_small(self, grid):
+        problem, psi, omega = spiral_state(grid, NEWTON)
+        dpsi, _, _ = problem.newton_update(problem.residual(psi, omega))
+        assert problem.update_norm(dpsi) < 1e-10
 
-    def test_lambda_zero_single_step(self, grid, spiral_setting):
-        trace, u_exact, _, u_stokes = spiral_setting
-        w_any = u_exact - u_stokes
-        w_next = newton_step(w_any, u_stokes, SolverConfig(lam=0.0))
-        assert dirichlet_norm(w_next) < 1e-9
+    def test_lambda_zero_single_step(self, grid):
+        problem, psi, omega = spiral_state(grid, SolverConfig(lam=0.0))
+        dpsi, _, _ = problem.newton_update(problem.residual(psi, omega))
+        psi_stokes, _ = problem.stokes_state()
+        assert problem.update_norm(psi + dpsi - psi_stokes) < 1e-9
 
     def test_quadratic_convergence_from_perturbation(self, grid):
         # an angular-mode perturbation makes the nonlinearity genuinely
@@ -241,11 +249,11 @@ class TestSolve:
         original = _Problem.newton_update
         calls = {"n": 0}
 
-        def flaky(self, omega, res):
+        def flaky(self, res):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NewtonSingularError(self.cfg.lam, self.flux)
-            return original(self, omega, res)
+            return original(self, res)
 
         monkeypatch.setattr(_Problem, "newton_update", flaky)
         report = solve(grid, trace, NEWTON)
@@ -395,7 +403,7 @@ class TestNewtonKrylov:
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
         monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
         with pytest.raises(NewtonSingularError):
-            problem.newton_update(omega, problem.residual(psi, omega))
+            problem.newton_update(problem.residual(psi, omega))
 
     def test_krylov_miss_falls_back_to_picard(self, grid, monkeypatch):
         monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
@@ -418,7 +426,7 @@ class TestNewtonKrylov:
         monkeypatch.setattr(_Problem, "jacobian", poisoned)
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
         with pytest.raises(NewtonSingularError):
-            problem.newton_update(omega, problem.residual(psi, omega))
+            problem.newton_update(problem.residual(psi, omega))
         report = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], replace(NEWTON, max_iter=2))
         assert report.steps == [{"kind": "picard-fallback"}] * 2
 
@@ -473,7 +481,7 @@ class TestNewtonKrylov:
         # about a rotationally symmetric state the preconditioner is the exact
         # Jacobian, so GMRES has nothing left to do
         problem, psi, omega = self._state(fine_grid, spiral_trace(2 * np.pi, 1.0, 1.0))
-        dpsi, domega, record = problem.newton_update(omega, problem.residual(psi, omega))
+        dpsi, domega, record = problem.newton_update(problem.residual(psi, omega))
         assert record == {"kind": "krylov", "gmres_iterations": 0}
         g = fine_grid
         res, u = problem.residual(psi, omega)[:2]
@@ -499,11 +507,11 @@ class TestNewtonKrylov:
         with monkeypatch.context() as m:
             m.setattr(navier_stokes, "factor_blocks", lambda blocks: blocks)
             m.setattr(navier_stokes, "solve_blocks", reference_solve)
-            want = problem.newton_update(omega, problem.residual(psi, omega))
+            want = problem.newton_update(problem.residual(psi, omega))
         made = []
         monkeypatch.setattr(navier_stokes, "factor_blocks",
                             lambda blocks: made.append(factor_blocks(blocks)) or made[-1])
-        got = problem.newton_update(omega, problem.residual(psi, omega))
+        got = problem.newton_update(problem.residual(psi, omega))
         assert len(made) == 1 and np.flatnonzero(made[0].factored).tolist() == factored
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

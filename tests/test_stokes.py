@@ -1,4 +1,4 @@
-"""Stokes solver and Poisson solvers against closed forms.
+"""Stokes solver and least-squares pressure against closed forms.
 
 Couette flow u_theta = A r + B/r (A, B from the rim speeds) solves the
 Stokes system exactly; the flux carrier has vanishing vector Laplacian and
@@ -8,7 +8,6 @@ substitution before the build.
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
 
 from annulus_flux import (
@@ -20,12 +19,11 @@ from annulus_flux import (
     fourier_trace,
     integrate,
     pressure_from_momentum,
-    pressure_poisson,
     pure_flux_trace,
     spiral_trace,
     stokes_solve,
 )
-from annulus_flux.fields import l2_norm, velocity_l2_norm
+from annulus_flux.fields import velocity_l2_norm
 from annulus_flux.grid import factor_blocks, solve_blocks
 from annulus_flux.navier_stokes import SolverConfig, _Problem, weak_residual
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
@@ -88,43 +86,15 @@ def test_stokes_trace_error_mixed_data(grid):
     assert sol.trace_error < 1e-9
 
 
-def test_pressure_poisson_zero(grid):
-    p = pressure_poisson(grid, VelocityField.zeros(grid), 0.0, 0.0)
-    assert np.max(np.abs(p.values)) < 1e-14
-
-
-def test_pressure_poisson_harmonic_profile(grid):
-    # w = 0, p1 = 1, p2 = 0: the solution is the radial harmonic
-    # log(r/R2)/log(R1/R2)
-    p = pressure_poisson(grid, VelocityField.zeros(grid), 1.0, 0.0)
-    exact = np.log(grid.rr / 1.0) / np.log(2.0)
-    assert np.max(np.abs(p.values - exact)) < 1e-10
-
-
-def test_pressure_poisson_boundary_rows_exact(grid):
-    w = VelocityField.from_functions(
-        grid, lambda r, t: 0 * r, lambda r, t: np.sin(np.pi * (r - 1)) ** 2)
-    p = pressure_poisson(grid, w, 0.75, -0.25)
-    assert np.max(np.abs(p.values[0, :] - 0.75)) < 1e-12
-    assert np.max(np.abs(p.values[-1, :] + 0.25)) < 1e-12
-
-
-def test_pressure_poisson_recovers_amick_pressure(grid):
-    # the Euler pair satisfies -Lap p = div[(w.grad)w] with these Dirichlet
-    # values; the oracle for p(r) is direct quadrature of f^2/t
-    w, p_exact = amick_flow(grid, AmickProfile.sin_squared())
-    f2 = lambda t: np.sin(np.pi * (t - 1.0)) ** 4 / t
-    p1 = quad(f2, 1.0, 2.0, epsabs=1e-14)[0]
-    p = pressure_poisson(grid, w, p1, 0.0)
-    oracle = np.array([quad(f2, 1.0, r, epsabs=1e-14)[0] for r in grid.r])
-    assert np.max(np.abs(p.values - oracle[:, None])) < 1e-8
-    assert np.max(np.abs(p.values - p_exact.values)) < 1e-8
-
-
-def test_pressure_poisson_rejects_compressible(grid):
-    w = VelocityField.from_functions(grid, lambda r, t: r, lambda r, t: 0 * r)
-    with pytest.raises(ValueError, match="solenoidal"):
-        pressure_poisson(grid, w, 0.0, 0.0)
+def test_pressure_from_momentum_recovers_amick_pressure(grid, fine_grid):
+    # the Euler pair balances grad(p) = -(w.grad)w, so the least-squares
+    # pressure at lam = 1, nu = 0 is the Amick pressure up to its mean
+    for g in (grid, fine_grid):
+        for profile in (AmickProfile.sin_squared(), AmickProfile.poly_bump(4)):
+            w, p_exact = amick_flow(g, profile)
+            exact = p_exact.values - integrate(g, p_exact.values) / g.area
+            p = pressure_from_momentum(g, w, 1.0, 0.0)
+            assert np.max(np.abs(p.values - exact)) < 1e-8
 
 
 def test_pressure_from_momentum_carrier(grid):
@@ -172,10 +142,10 @@ def test_stokes_velocity_independent_of_viscosity(grid):
 
 
 def reference_blocks(grid):
-    """Stream, Dirichlet and Neumann matrices assembled one mode at a time."""
+    """Stream and Neumann matrices assembled one mode at a time."""
     n = grid.n_r
     base = grid.d_rr + (1.0 / grid.r)[:, None] * grid.d_r
-    stream, dirichlet, neumann = [], [], []
+    stream, neumann = [], []
     for k in range(grid.n_modes):
         lap = base - (k * k) * np.diag(1.0 / grid.r**2)
         m = np.zeros((2 * n, 2 * n))
@@ -190,23 +160,18 @@ def reference_blocks(grid):
         m[n + 1:2 * n - 1, n:] = lap[1:n - 1]
         m[2 * n - 1, n - 1] = 1.0
         stream.append(m)
-        d = lap.copy()
-        d[[0, n - 1]] = 0.0
-        d[0, 0] = d[n - 1, n - 1] = 1.0
-        dirichlet.append(d)
         m = lap.copy()
         m[0], m[n - 1] = grid.d_r[0], grid.d_r[-1]
         if k == 0:
             m[n // 2] = grid.w_area
         neumann.append(m)
-    return stream, dirichlet, neumann
+    return stream, neumann
 
 
 def test_factor_stacks_solve_reference_blocks(grid):
     rng = np.random.default_rng(3)
-    stream, dirichlet, neumann = reference_blocks(grid)
-    for factors, blocks in ((grid.stream_lu, stream), (grid.dirichlet_lu, dirichlet),
-                            (grid.neumann_lu, neumann)):
+    stream, neumann = reference_blocks(grid)
+    for factors, blocks in ((grid.stream_lu, stream), (grid.neumann_lu, neumann)):
         assert factors.lu.shape == (grid.n_modes,) + blocks[0].shape
         solve_blocks(factors, np.ones(factors.piv.shape))  # reach every mode
         assert factors.factored.all()
