@@ -20,10 +20,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .boundary import BoundaryTrace, make_trace
@@ -38,6 +42,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_CONFIG = 3
+
+# the least-squares pressure and the solver's residual norms square terms of
+# size |u|^2, so boundary data or a flux larger than this give no finite report
+DATA_BOUND = sys.float_info.max ** 0.25
 
 
 class ConfigError(Exception):
@@ -97,14 +105,11 @@ class RunConfig:
             trace = make_trace(bspec)
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"boundary: {exc}") from exc
-        # the least-squares pressure squares momentum terms of size |u|^2, so
-        # larger data cannot give a finite report
         size = max((abs(c) for coefs in (trace.normal_outer, trace.angular_outer,
                                          trace.normal_inner, trace.angular_inner)
                     for c in coefs.values()), default=0.0)
-        bound = sys.float_info.max ** 0.25
-        if not size <= bound:
-            raise ConfigError(f"boundary: data of size {size:.3e} exceed {bound:.3e}, "
+        if not size <= DATA_BOUND:
+            raise ConfigError(f"boundary: data of size {size:.3e} exceed {DATA_BOUND:.3e}, "
                               "beyond which the pressure overflows")
 
         sspec = raw.get("solver", {})
@@ -136,6 +141,7 @@ class RunConfig:
                 sweep_values = [float(v) for v in values]
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep.values: {exc}") from exc
+            _check_sweep_values(sweep_parameter, sweep_values)
 
         ospec = raw.get("output", {})
         if not isinstance(ospec, dict):
@@ -149,16 +155,51 @@ class RunConfig:
                    out_dir=out_dir, formats=list(formats))
 
 
+def _check_sweep_values(parameter: str, values: list[float]) -> None:
+    """Raise ConfigError unless ``values`` are finite, strictly monotone and in range.
+
+    lambda must lie in [0, 1]; a flux must not exceed DATA_BOUND in size.
+    """
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"sweep.values must be finite, got {values}")
+    if parameter == "lambda" and not all(0.0 <= v <= 1.0 for v in values):
+        raise ConfigError(f"sweep.values of lambda must lie in [0, 1], got {values}")
+    if parameter == "flux" and not all(abs(v) <= DATA_BOUND for v in values):
+        raise ConfigError(f"sweep.values: a flux exceeds {DATA_BOUND:.3e}, "
+                          "beyond which the solve overflows")
+    steps = [b - a for a, b in zip(values, values[1:])]
+    if not (all(d > 0 for d in steps) or all(d < 0 for d in steps)):
+        raise ConfigError(f"sweep.values must be strictly monotone, got {values}")
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+@functools.cache
+def _platform() -> dict:
+    """The BLAS build, the ``*_NUM_THREADS`` variables and the CPU count, read once.
+
+    The BLAS build is numpy's, from ``numpy.show_config``.  The thread count
+    can change GMRES iteration counts near the cap, so a report is reproduced
+    only with this configuration.
+    """
+    build = np.show_config(mode="dicts")["Build Dependencies"]
+    return {
+        "blas": build.get("blas", {}),
+        "num_threads": {name: value for name, value in sorted(os.environ.items())
+                        if name.endswith("_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_meta(out: Path, command: str, phases: dict[str, float] | None = None) -> None:
-    """run_meta.json: the command, version, time stamp and wall seconds per phase."""
+    """run_meta.json: command, version, time stamp, BLAS and thread settings, seconds per phase."""
     meta = {
         "command": command,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        **_platform(),
     }
     if phases is not None:
         meta["phases"] = phases

@@ -11,16 +11,19 @@ index running from the outer boundary (row 0, r = r_outer) to the inner
 boundary (row n_r - 1, r = r_inner), following the native Chebyshev node
 ordering x_j = cos(pi j / N).
 
-Per-mode systems are held as :class:`BlockFactors`, a stack of blocks that
-:func:`solve_blocks` LU-factors one by one, each the first time a right-hand
-side is not exactly zero in its mode.  For axisymmetric data the FFT leaves
-every mode k >= 1 exactly zero on most grids, and then one block is factored.
+Per-mode systems are held as :class:`BlockFactors`, the one way a stack of
+per-mode blocks is made.  Its builder assembles a block, and
+:func:`solve_blocks` LU-factors it, the first time a right-hand side is not
+exactly zero in its mode; a block no solve reaches is never assembled.  For
+axisymmetric data the FFT leaves every mode k >= 1 exactly zero on most
+grids, and then one block is assembled and factored.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -84,8 +87,8 @@ class PolarGrid:
 
     Differentiation and quadrature operators are computed at construction.
     The per-mode operators (the mode Laplacians and the block stacks of the
-    stream and Neumann systems) are built on first use and kept;
-    a block of a stack is LU-factored when a solve first reaches its mode.
+    stream and Neumann systems) are made on first use and kept; a block of
+    a stack is assembled and LU-factored when a solve first reaches its mode.
     :func:`build_grid` applies the precondition checks and hands every caller
     asking for the same grid one shared instance, so its arrays are read-only
     to callers and every operation on it is pure.  Grids compare and hash by
@@ -218,10 +221,12 @@ class PolarGrid:
     @functools.cached_property
     def _antiderivative_lu(self) -> BlockFactors:
         """One-block stack of d/dr with the inner row pinned, the antiderivative operator."""
-        anti = self.d_r.copy()
-        anti[-1, :] = 0.0
-        anti[-1, -1] = 1.0
-        return factor_blocks(anti[None])
+        def build(modes: slice, out: np.ndarray) -> None:
+            out[0] = self.d_r
+            out[0, -1, :] = 0.0
+            out[0, -1, -1] = 1.0
+
+        return BlockFactors(build, 1, self.n_r)
 
     # -- per-mode operators -------------------------------------------------------
 
@@ -233,45 +238,54 @@ class PolarGrid:
         laps.setflags(write=False)
         return laps
 
-    def stream_blocks(self, dtype=float) -> np.ndarray:
+    def stream_blocks(self, modes: slice = slice(None), out: np.ndarray | None = None,
+                      dtype=float) -> np.ndarray:
         """Per-mode matrices of the clamped biharmonic pair in (psi, omega).
 
         Rows 0..n_r-1 hold the slopes of psi on the circles and Lap psi +
         omega inside; rows n_r.. hold Lap omega inside and the values of psi
         on the circles, except that mode 0 replaces the outer value by the
-        single-valued-pressure side condition d omega/dr (r_outer).  Returns
-        a fresh (n_modes, 2 n_r, 2 n_r) stack for :func:`factor_blocks`.
+        single-valued-pressure side condition d omega/dr (r_outer).  Writes
+        the blocks of the consecutive ``modes`` (default all) into ``out``
+        (default a fresh zero stack of ``dtype``), a :class:`BlockFactors`
+        builder, and returns ``out``, shape (n_modes, 2 n_r, 2 n_r).  Entries
+        off the pattern are left as they are, zero in a fresh stack.
         """
         n = self.n_r
-        laps = self.mode_laplacians[:, 1:n - 1]
-        m = _block_stack(self.n_modes, 2 * n, dtype)
-        m[:, 0, :n] = self.d_r[0]
-        m[:, 1:n - 1, :n] = laps
-        m[:, 1:n - 1, n:] = np.eye(n)[1:n - 1]
-        m[:, n - 1, :n] = self.d_r[-1]
-        m[0, n, n:] = self.d_r[0]       # single-valued pressure
-        m[1:, n, 0] = 1.0               # psi value at the outer circle
-        m[:, n + 1:2 * n - 1, n:] = laps
-        m[:, 2 * n - 1, n - 1] = 1.0    # psi value at the inner circle
+        m = _block_stack(self.n_modes, 2 * n, dtype) if out is None else out
+        first, stop, _ = modes.indices(self.n_modes)
+        laps = self.mode_laplacians[modes, 1:n - 1]
+        m[modes, 0, :n] = self.d_r[0]
+        m[modes, 1:n - 1, :n] = laps
+        m[modes, 1:n - 1, n:] = np.eye(n)[1:n - 1]
+        m[modes, n - 1, :n] = self.d_r[-1]
+        if first == 0:
+            m[0, n, n:] = self.d_r[0]       # single-valued pressure
+        m[max(first, 1):stop, n, 0] = 1.0   # psi value at the outer circle
+        m[modes, n + 1:2 * n - 1, n:] = laps
+        m[modes, 2 * n - 1, n - 1] = 1.0    # psi value at the inner circle
         return m
 
     @functools.cached_property
     def stream_lu(self) -> BlockFactors:
-        return factor_blocks(self.stream_blocks())
+        return BlockFactors(self.stream_blocks, self.n_modes, 2 * self.n_r)
 
     @functools.cached_property
     def neumann_lu(self) -> BlockFactors:
         """Lap_k with slope rows on both circles and a zero mean for mode 0."""
         n = self.n_r
-        m = _block_stack(self.n_modes, n)
-        m[:] = self.mode_laplacians
-        m[:, 0] = self.d_r[0]
-        m[:, n - 1] = self.d_r[-1]
-        # Neumann mode 0 is defined up to a constant; trade one interior row
-        # for the zero-mean condition, absorbing the discrete compatibility
-        # defect there.
-        m[0, n // 2] = self.w_area
-        return factor_blocks(m)
+
+        def build(modes: slice, m: np.ndarray) -> None:
+            m[modes] = self.mode_laplacians[modes]
+            m[modes, 0] = self.d_r[0]
+            m[modes, n - 1] = self.d_r[-1]
+            # Neumann mode 0 is defined up to a constant; trade one interior
+            # row for the zero-mean condition, absorbing the discrete
+            # compatibility defect there.
+            if modes.indices(self.n_modes)[0] == 0:
+                m[0, n // 2] = self.w_area
+
+        return BlockFactors(build, self.n_modes, n)
 
 
 def build_grid(n_r: int, n_theta: int, r_inner: float, r_outer: float) -> PolarGrid:
@@ -313,60 +327,60 @@ def _block_stack(count: int, size: int, dtype=float) -> np.ndarray:
 
 
 class BlockFactors:
-    """LU factors of a stack of per-mode blocks, each block factored when first reached.
+    """LU factors of ``count`` per-mode blocks, each assembled and factored when first reached.
 
-    Made by :func:`factor_blocks` and applied by :func:`solve_blocks`, which
-    factors block k with LAPACK ``getrf`` the first time a right-hand side is
-    not exactly zero in mode k.  ``lu``, ``piv`` and ``factored`` are
-    read-only to callers: once ``factored[k]``, ``lu[k]`` and ``piv[k]`` are
-    what ``scipy.linalg.lu_factor`` gives for the block; until then ``lu[k]``
-    is the block itself.  Only the factor step writes them.
+    ``build(modes, out)`` writes the blocks of ``modes``, a slice of
+    consecutive modes, into ``out[modes]``; ``out`` is the zero
+    (count, size, size) stack of ``dtype`` with Fortran-ordered slices that
+    becomes the factors.  :func:`solve_blocks` builds the blocks of the modes
+    it reaches first, each the first time a right-hand side is not exactly
+    zero in its mode, and factors them in place with LAPACK ``getrf``.  Each
+    run of consecutive new modes is built in one call, through views of the
+    stack, so the usual sets, mode 0 alone or every mode, take one call.
+    ``lu``, ``piv`` and ``factored`` are read-only to callers: once
+    ``factored[k]``, ``lu[k]`` and ``piv[k]`` are what
+    ``scipy.linalg.lu_factor`` gives for block k; until then ``lu[k]`` is
+    zero.  Only the factor step writes them.  An exactly singular block is
+    factored without complaint and gives a non-finite solve.
     """
 
-    def __init__(self, blocks: np.ndarray):
-        # writable views for the factor step, taken before the flags close
-        self._lu = blocks.view()
-        self._piv = np.empty(blocks.shape[:2], dtype=np.int32)
-        self._factored = np.zeros(len(blocks), dtype=bool)
-        self.lu = blocks
+    def __init__(self, build: Callable[[slice, np.ndarray], object], count: int,
+                 size: int, dtype=float):
+        self._build = build
+        # writable stacks for the factor step, behind read-only public views
+        self._lu = _block_stack(count, size, dtype)
+        self._piv = np.empty((count, size), dtype=np.int32)
+        self._factored = np.zeros(count, dtype=bool)
+        self.lu = self._lu.view()
         self.piv = self._piv.view()
         self.factored = self._factored.view()
         for public in (self.lu, self.piv, self.factored):
             public.setflags(write=False)
 
     def _factor(self, modes: np.ndarray) -> None:
-        """Factor the blocks of ``modes`` not yet factored, in place, in order.
+        """Build and factor the blocks of ``modes`` not yet factored, in place, in order.
 
         Raises
         ------
         ValueError
             Naming the first of ``modes`` whose factor is not finite; that
-            block is not marked factored.
+            block is zeroed again and not marked factored.
         """
         todo = modes[~self._factored[modes]]
         if not todo.size:
             return
+        for run in np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1):
+            self._build(slice(run[0], run[-1] + 1), self._lu)
         getrf, = get_lapack_funcs(("getrf",), (self._lu,))
         for k in todo:
             lu, self._piv[k], info = getrf(self._lu[k], overwrite_a=True)
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of getrf")
             if not np.all(np.isfinite(lu)):
+                self._lu[k] = 0.0  # a later build starts from a zero slice again
                 raise ValueError(f"ill-conditioned collocation system at angular mode {k}")
             self._lu[k] = lu  # no copy for Fortran-ordered slices, which LAPACK overwrites
             self._factored[k] = True
-
-
-def factor_blocks(blocks: np.ndarray) -> BlockFactors:
-    """Lazy LU factors of a stack of per-mode matrices, taking over ``blocks``.
-
-    No block is factored here: :func:`solve_blocks` factors a block the first
-    time it reaches its mode.  ``blocks`` becomes read-only and is overwritten
-    by the factors; Fortran-ordered slices are factored without a copy.  An
-    exactly singular block is factored without complaint and gives a
-    non-finite solve.
-    """
-    return BlockFactors(blocks)
 
 
 def solve_blocks(factors: BlockFactors, rhs: np.ndarray) -> np.ndarray:
@@ -376,8 +390,9 @@ def solve_blocks(factors: BlockFactors, rhs: np.ndarray) -> np.ndarray:
     columns.  An exactly zero slice gets an exactly zero solution and no
     LAPACK call; any other slice, NaN included, is solved by LAPACK
     ``getrs``, the routine ``scipy.linalg.lu_solve`` calls, after its block
-    is factored if it is not yet.  So each slice of the C-ordered result is
-    bit-identical to ``scipy.linalg.lu_solve`` on the factored block.
+    is built and factored if it is not yet.  So each slice of the C-ordered
+    result is bit-identical to ``scipy.linalg.lu_solve`` on the factored
+    block.
     Nothing is checked for finiteness: a non-finite input gives a
     non-finite result.
 

@@ -23,15 +23,17 @@ the Stokes state after 0 iterations.  Every Newton step is Jacobian-free
 Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004): GMRES on the
 analytic Jacobian-vector product, built from the residual's own FFT and
 radial operators, right-preconditioned by the per-mode Jacobian about the
-angular mean, assembled once per step.  Each of its blocks is factored at
-most once per step, when a solve first reaches that mode: about a
-rotationally symmetric state the preconditioner is the exact Jacobian, every
-mode k >= 1 of the residual is exactly zero, so only the mode-0 block is
-factored, and GMRES takes no iterations.
+angular mean.  Each of its blocks is assembled and factored at most once per
+step, when a solve first reaches that mode: about a rotationally symmetric
+state the preconditioner is the exact Jacobian, every mode k >= 1 of the
+residual is exactly zero, so only the mode-0 block is built, and GMRES takes
+no iterations.
 GMRES runs to a relative 1e-10, floored at the residual's rounding level; a
 miss within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.
-Memory is n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1 Krylov
-vectors.
+Memory is at most n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1
+Krylov vectors.  A continuation sweep holds the clamped stream data fixed,
+so it builds them and solves the Stokes state once and every point shares
+them.
 
 Convergence is measured after each applied step, first by the step defect,
 the Dirichlet norm of the velocity update relative to max(1, J) (for Picard
@@ -47,6 +49,7 @@ blown-up step ends the iteration unconverged at the last finite iterate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -63,7 +66,7 @@ from .fields import (
     scalar_laplacian,
     trilinear,
 )
-from .grid import BlockFactors, PolarGrid, factor_blocks, integrate, solve_blocks
+from .grid import BlockFactors, PolarGrid, integrate, solve_blocks
 from .stokes import StreamBC, pressure_from_momentum, solve_stream_system
 from .testspace import divergence_free_test_fields
 
@@ -304,30 +307,36 @@ class _Problem:
         hat[1, 0, 0] = side * self.grid.n_theta  # rfft scaling of an angular mean
         return hat
 
-    def modal_jacobian(self, u: VelocityField, omega: np.ndarray) -> np.ndarray:
+    def modal_jacobian(self, u: VelocityField, omega: np.ndarray,
+                       modes: slice = slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Per-mode Newton blocks about the angular-mean state, (n_modes, 2 n_r, 2 n_r).
 
         The preconditioner of the Krylov solve, and the exact Jacobian about
         a rotationally symmetric state.  The stream blocks of the
         grid (the layout of :meth:`residual`: the rows of F[0], then those of
         F[1]) plus the linearized convection and side-condition terms.
+        Writes the blocks of the consecutive ``modes`` (default all) into
+        ``out`` (default a fresh zero complex stack) and returns ``out``; with
+        (u, omega) bound it is a :class:`BlockFactors` builder.
         """
         g = self.grid
         n = g.n_r
         ur0 = u.u_r.values.mean(axis=1)
         ut0 = u.u_theta.values.mean(axis=1)
         domega0 = g.d_r @ omega.mean(axis=1)
-        k = g.wavenumbers[:, None]
+        k = g.wavenumbers[modes, None]
         inner = np.arange(1, n - 1)
-        m = g.stream_blocks(complex)
-        swirl_op = -(g.d_r + np.diag(1.0 / g.r)) @ g.d_r
-        m[0, n, :n] = -self.ratio * ur0[0] * swirl_op[0]
+        m = g.stream_blocks(modes, out, complex)
+        if modes.indices(g.n_modes)[0] == 0:
+            swirl_op = -(g.d_r + np.diag(1.0 / g.r)) @ g.d_r
+            m[0, n, :n] = -self.ratio * ur0[0] * swirl_op[0]
         # linearized vorticity transport: ur0 d_r domega is real and the same
         # for every mode; ik ut0/r domega and ik omega0'/r dpsi are imaginary
         # diagonals, added in place without an (n_modes, n_r, n_r) temporary
-        m[:, n + 1:2 * n - 1, n:] -= self.ratio * (np.diag(ur0) @ g.d_r)[inner]
-        m.imag[:, n + inner, n + inner] -= self.ratio * (k * (ut0 / g.r)[inner])
-        m.imag[:, n + inner, inner] += (-self.ratio * k) * (domega0 / g.r)[inner]
+        m[modes, n + 1:2 * n - 1, n:] -= self.ratio * (np.diag(ur0) @ g.d_r)[inner]
+        m.imag[modes, n + inner, n + inner] -= self.ratio * (k * (ut0 / g.r)[inner])
+        m.imag[modes, n + inner, inner] += (-self.ratio * k) * (domega0 / g.r)[inner]
         return m
 
     def apply_modal(self, factors: BlockFactors, res: np.ndarray) -> np.ndarray:
@@ -351,14 +360,17 @@ class _Problem:
         ``res`` is :meth:`residual` at the iterate.  Its state fields,
         ``res.u`` and ``res.omega``, keep their derivatives, so every
         Jacobian product of the step reuses them.
-        The modal Jacobian P, assembled once, right-preconditions GMRES
-        started from P^-1(-F); each block of P is factored when a solve first
-        reaches its mode.  P is exact about a rotationally symmetric state,
-        where only its mode-0 block is factored and GMRES takes 0 iterations.
+        The modal Jacobian P right-preconditions GMRES started from
+        P^-1(-F); each block of P is assembled and factored when a solve first
+        reaches its mode, at most once per step.  P is exact about a
+        rotationally symmetric state, where only its mode-0 block is built and
+        GMRES takes 0 iterations.
         Raises NewtonSingularError on a singular block or a GMRES miss.
         """
         u, vorticity = res.u, res.omega
-        factors = factor_blocks(self.modal_jacobian(u, vorticity.values))
+        g = self.grid
+        factors = BlockFactors(functools.partial(self.modal_jacobian, u, vorticity.values),
+                               g.n_modes, 2 * g.n_r, complex)
         step = self.apply_modal(factors, -res.modes)
         # F sums terms the size of omega and of Lap(omega): below eps times
         # their size it is rounding, so no tighter linear solve is useful
@@ -466,11 +478,13 @@ class _Solution(NamedTuple):
     converged: bool
 
 
-def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
+def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
              on_iterate: Callable | None = None,
              warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> _Solution:
     """Run the configured iteration from the Stokes state or ``warm_start``; measure J.
 
+    ``stokes_state`` is ``problem.stokes_state()``, which depends only on the
+    clamped stream data, so a sweep solves it once for all its points.
     F is evaluated once per iterate and feeds the step from it.  After a
     step is applied the iteration has converged when the step defect is
     below ``tol`` or, failing that, when ||F|| at the new iterate is at most
@@ -482,8 +496,8 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     At lambda = 0 the Stokes state is returned, converged after 0
     iterations, and ``warm_start`` is ignored.
     """
-    problem = _Problem.from_trace(grid, trace, cfg)
-    psi_stokes, omega_stokes = problem.stokes_state()
+    grid, cfg = problem.grid, problem.cfg
+    psi_stokes, omega_stokes = stokes_state
     # lambda = 0 is the linear Stokes problem, which the Stokes state solves;
     # a step from it would move it by rounding, not by zero
     stokes = cfg.lam == 0.0
@@ -497,7 +511,8 @@ def _iterate(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
         res = problem.residual(psi, omega)
         residual_norms.append(res.relative)
     for _ in range(0 if stokes else cfg.max_iter):
-        scale = max(1.0, problem.update_norm(psi - psi0))
+        # the first step starts at psi0, where the update norm is exactly 0
+        scale = 1.0 if psi is psi0 else max(1.0, problem.update_norm(psi - psi0))
         if cfg.method == "picard":
             dpsi, domega = problem.picard_update(res)
             step = {"kind": "picard"}
@@ -545,7 +560,8 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     The prescribed flux is carried exactly at every iterate because the
     carrier never enters the iteration.
     """
-    sol = _iterate(grid, trace, cfg, on_iterate, warm_start)
+    problem = _Problem.from_trace(grid, trace, cfg)
+    sol = _iterate(problem, problem.stokes_state(), on_iterate, warm_start)
     u, psi = sol.u, sol.psi
     p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu, full_output=True)
     psi_zero_flux = ScalarField(grid, psi - psi[-1, 0])
@@ -571,8 +587,10 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
 
     For a flux sweep the zero-flux remainder of the datum stays fixed and
     the carrier's flux takes the swept value, so the clamped stream data
-    never changes.  Each point warm-starts from the previous converged
-    point's solver state (the ``psi``, ``omega`` that :func:`solve` reports).
+    never changes: in either sweep they and the Stokes state are computed
+    once, and every point shares them.  Each point warm-starts from the
+    previous converged point's solver state (the ``psi``, ``omega`` that
+    :func:`solve` reports).
     A point records J, convergence and the iteration count only: the
     pressure and diagnostics of :func:`solve` are not computed.
     On a failed point one bisection level is attempted (solve the midpoint,
@@ -588,15 +606,20 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
         raise ValueError(f"unknown sweep parameter {parameter!r}")
 
     remainder = trace.zero_flux_remainder()
+    bc = StreamBC.from_trace(grid, trace)
+    stokes_state = solve_stream_system(grid, bc.stokes_rhs(grid))
     points: list[SweepPoint] = []
     warm: tuple[np.ndarray, np.ndarray] | None = None
     last_value: float | None = None
 
     def run(value: float, start) -> _Solution:
         if parameter == "lambda":
-            return _iterate(grid, trace, replace(cfg, lam=value), warm_start=start)
-        trace_v = remainder + pure_flux_trace(value, grid.r_inner, grid.r_outer)
-        return _iterate(grid, trace_v, cfg, warm_start=start)
+            problem = _Problem(grid, replace(cfg, lam=value), trace.flux, bc)
+        else:
+            # the flux of the swept datum, which rounding can set apart from value
+            flux = (remainder + pure_flux_trace(value, grid.r_inner, grid.r_outer)).flux
+            problem = _Problem(grid, cfg, flux, bc)
+        return _iterate(problem, stokes_state, warm_start=start)
 
     for value in values:
         sol = run(value, warm)

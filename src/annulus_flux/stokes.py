@@ -2,12 +2,15 @@
 
 Everything here reduces to independent boundary-value problems in r, one per
 angular Fourier mode: dense collocation matrices with boundary rows replaced.
-The grid assembles each family as one stack of per-mode blocks and holds its
-LU factors; a solve builds the stack of modal right-hand sides and applies
-the factors with one ``solve_blocks`` call, which factors a block the first
-time a right-hand side reaches its mode and skips modes whose right-hand side
-is exactly zero.  An axisymmetric datum whose modes k >= 1 come out of the
-FFT exactly zero thus factors and solves mode 0 only.
+The grid holds each family as one lazy stack of per-mode blocks and their LU
+factors; a solve builds the stack of modal right-hand sides and applies the
+factors with one ``solve_blocks`` call, which assembles and factors a block
+the first time a right-hand side reaches its mode and skips modes whose
+right-hand side is exactly zero.  An axisymmetric datum whose modes k >= 1
+come out of the FFT exactly zero thus assembles, factors and solves mode 0
+only.  The Stokes state depends only on the clamped stream data
+(:class:`StreamBC`), which a continuation sweep holds fixed, so a sweep
+solves it once for all its points.
 
 The Stokes problem is solved in stream-function form.  Writing the velocity
 as flux carrier plus curl(psi), psi is biharmonic; per mode this is the

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from annulus_flux import (
-    VelocityField,
     couette_trace,
     curl,
     divergence,

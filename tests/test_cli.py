@@ -2,11 +2,13 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from annulus_flux import AmickProfile, amick_flow, build_grid, write_velocity_csv
+from annulus_flux import cli
 from annulus_flux.cli import main
 
 BASE_CONFIG = {
@@ -152,6 +154,28 @@ class TestSweep:
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("parameter, values", [
+        ("flux", [1.0, 0.5, 2.0]),
+        ("flux", [0.5, 0.5]),
+        ("flux", [0.5, float("nan")]),
+        ("flux", [0.5, float("inf")]),
+        ("flux", [0.5, 1e200]),
+        ("flux", [-1e200, 0.5]),
+        ("lambda", [0.5, 1.5]),
+        ("lambda", [-0.5, 0.5]),
+    ])
+    def test_bad_sweep_values_rejected(self, tmp_path, capsys, parameter, values):
+        # bad values are a configuration error (exit 3), not a traceback
+        # (exit 1, "verification failed") or an overflowing solve (exit 2)
+        cfg = write_config(tmp_path, {
+            "boundary": {"preset": "spiral", "flux": 1.0, "amplitude": 1.0, "nu": 1.0},
+            "sweep": {"parameter": parameter, "values": values},
+        })
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "sweep.values" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
 
 def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
     # one parser serves every call in a process: the options of one call
@@ -167,6 +191,24 @@ def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
     assert "lambda = +1.0000" in capsys.readouterr().out
     assert (tmp_path / "from_config" / "trace.csv").exists()
     assert not (solve_out / "trace.csv").exists()
+
+
+def test_run_meta_records_blas_and_threads(tmp_path):
+    # the BLAS build and thread settings go to run_meta.json, read once per
+    # process; report.json carries none of them
+    cfg = write_config(tmp_path, {"sweep": {"parameter": "lambda", "values": [0.5, 1.0]}})
+    threads = {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+    for command in ("solve", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert meta["blas"]["name"]
+        assert meta["num_threads"] == threads
+        assert meta["cpu_count"] == os.cpu_count()
+    report = json.loads((tmp_path / "solve" / "report.json").read_text())
+    assert not {"blas", "num_threads", "cpu_count"} & set(report)
+    assert cli._platform.cache_info().misses == 1
 
 
 class TestVerify:

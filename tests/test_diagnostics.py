@@ -18,7 +18,6 @@ from annulus_flux import (
     ScalarField,
     VelocityField,
     amick_flow,
-    amick_pressure_drop,
     bernoulli_deviation,
     boundary_pressures,
     couette,
@@ -37,7 +36,7 @@ from annulus_flux import (
     stream_function,
 )
 from annulus_flux.diagnostics import DiagnosticsRecord, diagnostics_for_fields
-from annulus_flux.fields import l2_norm, velocity_l2_norm
+from annulus_flux.fields import velocity_l2_norm
 from annulus_flux.grid import build_grid
 
 SIN2_DROP = 0.25227669216659465

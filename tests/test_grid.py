@@ -14,10 +14,10 @@ from scipy.linalg import lu_factor, lu_solve
 from annulus_flux import ScalarField, build_grid, integrate, read_velocity_csv
 from annulus_flux.cli import main
 from annulus_flux.grid import (
+    BlockFactors,
     PolarGrid,
     chebyshev_diff_matrix,
     clenshaw_curtis_weights,
-    factor_blocks,
     solve_blocks,
 )
 
@@ -148,24 +148,33 @@ def test_radial_antiderivative_matches_lu_solve(shape):
 
 
 def test_factor_blocks_names_first_non_finite_mode():
-    def poisoned():
-        blocks = np.stack([np.eye(4) * (k + 1.0) for k in range(5)])
-        blocks[2, 1, 1] = np.nan
-        blocks[3, 0, 0] = np.inf
-        return factor_blocks(blocks)
+    blocks = np.stack([np.eye(4) * (k + 1.0) for k in range(5)])
+    blocks[2, 1, 1] = np.nan
+    blocks[3, 0, 0] = np.inf
 
+    def build(modes, out):
+        out[modes] = blocks[modes]
+
+    def poisoned():
+        return BlockFactors(build, 5, 4)
+
+    factors = poisoned()
     with pytest.raises(ValueError, match=r"angular mode 2$"):
-        solve_blocks(poisoned(), np.ones((5, 4)))
+        solve_blocks(factors, np.ones((5, 4)))
+    # the failed block is zeroed for a later build; the blocks after it are built
+    assert factors.factored.tolist() == [True, True, False, False, False]
+    assert not factors.lu[2].any() and np.array_equal(factors.lu[4], blocks[4])
     # the factor step names the first mode a solve reaches, not the first in the stack
     rhs = np.ones((5, 4))
     rhs[2] = 0.0
     with pytest.raises(ValueError, match=r"angular mode 3$"):
         solve_blocks(poisoned(), rhs)
-    # a solve that reaches neither bad block needs neither factor
+    # a solve that reaches neither bad block builds and factors neither
     rhs[3] = 0.0
     factors = poisoned()
     assert np.array_equal(solve_blocks(factors, rhs), rhs / (np.arange(5.0) + 1.0)[:, None])
     assert factors.factored.tolist() == [True, True, False, False, True]
+    assert not factors.lu[2:4].any()
 
 
 def test_build_grid_shares_one_grid_and_its_factors(tmp_path):

@@ -17,7 +17,6 @@ from annulus_flux import (
     NewtonSingularError,
     ScalarField,
     SolverConfig,
-    VelocityField,
     build_grid,
     couette,
     couette_trace,
@@ -38,7 +37,7 @@ from annulus_flux import (
 )
 from annulus_flux.fields import scalar_laplacian, velocity_l2_norm
 from annulus_flux import navier_stokes
-from annulus_flux.grid import factor_blocks
+from annulus_flux.grid import BlockFactors
 from annulus_flux.navier_stokes import _Problem, energy_cancellation
 from annulus_flux.stokes import solve_stream_system
 
@@ -318,6 +317,42 @@ class TestSweep:
         result = sweep(grid, trace, NEWTON, "flux", values)
         assert [pt.value for pt in result.points] == values
 
+    @pytest.mark.parametrize("parameter, values", [
+        ("flux", [0.0, 1.0, 2.0, 5.0]),
+        ("lambda", [0.0, 0.5, 1.0]),
+    ])
+    def test_sweep_solves_stokes_once(self, grid, monkeypatch, parameter, values):
+        # the clamped stream data, and so the Stokes state, are the same at
+        # every point; a Newton sweep takes no other stream solve
+        calls = []
+        monkeypatch.setattr(navier_stokes, "solve_stream_system",
+                            lambda *args: calls.append(args) or solve_stream_system(*args))
+        result = sweep(grid, spiral_trace(1.0, 1.0, 1.0), NEWTON, parameter, values)
+        assert result.all_converged()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("trace, parameter, values", [
+        (spiral_trace(1.0, 1.0, 1.0), "flux", [0.0, 1.0, 2.0, 5.0]),
+        (spiral_trace(1.0, 1.0, 1.0), "lambda", [0.0, 0.5, 1.0]),
+        (couette_trace(1.0, 0.0) + fourier_trace(1.0, 2.0, normal_outer={2: 0.1},
+                                                 normal_inner={2: 0.05j}),
+         "flux", [0.0, 0.5, 1.0]),
+    ])
+    def test_sweep_points_match_standalone_solves(self, grid, trace, parameter, values):
+        # a point equals a solve of its own datum from the same warm start,
+        # which builds its own stream data and Stokes state
+        result = sweep(grid, trace, NEWTON, parameter, values)
+        warm = None
+        for point, value in zip(result.points, values, strict=True):
+            if parameter == "lambda":
+                report = solve(grid, trace, replace(NEWTON, lam=value), warm_start=warm)
+            else:
+                datum = trace.zero_flux_remainder() + pure_flux_trace(value, 1.0, 2.0)
+                report = solve(grid, datum, NEWTON, warm_start=warm)
+            assert report.converged and point.converged and point.value == value
+            assert point.J == report.J and point.iterations == report.iterations
+            warm = (report.psi.values, report.omega.values)
+
     def test_sweep_skips_post_solve_pressure(self, grid):
         # boundary data of size ~1e102 overflow the least-squares pressure that
         # solve attaches; a sweep point needs only J and the solver state
@@ -498,21 +533,32 @@ class TestNewtonKrylov:
     ])
     def test_step_factors_only_reached_blocks(self, fine_grid, monkeypatch, trace, factored):
         # at n_theta = 64 an axisymmetric residual is exactly zero in every
-        # mode k >= 1, so only mode 0 is factored; Couette + k=2 reaches every block.  The
-        # reference factors and solves every block per mode
-        def reference_solve(blocks, rhs):
+        # mode k >= 1, so only mode 0 is built and factored; Couette + k=2
+        # reaches every block, all built in one call.  The reference factors
+        # and solves every block of the full stack per mode
+        problem, psi, omega = self._state(fine_grid, trace)
+        res = problem.residual(psi, omega)
+        blocks = problem.modal_jacobian(res.u, omega)
+
+        def reference_solve(factors, rhs):
             return np.stack([lu_solve(lu_factor(block), b) for block, b in zip(blocks, rhs)])
 
-        problem, psi, omega = self._state(fine_grid, trace)
         with monkeypatch.context() as m:
-            m.setattr(navier_stokes, "factor_blocks", lambda blocks: blocks)
             m.setattr(navier_stokes, "solve_blocks", reference_solve)
-            want = problem.newton_update(problem.residual(psi, omega))
-        made = []
-        monkeypatch.setattr(navier_stokes, "factor_blocks",
-                            lambda blocks: made.append(factor_blocks(blocks)) or made[-1])
-        got = problem.newton_update(problem.residual(psi, omega))
+            want = problem.newton_update(res)
+        made, built = [], []
+        full_build = problem.modal_jacobian
+
+        def spy(u, omega, modes, out):
+            built.append(list(range(fine_grid.n_modes)[modes]))
+            return full_build(u, omega, modes, out)
+
+        monkeypatch.setattr(problem, "modal_jacobian", spy)
+        monkeypatch.setattr(navier_stokes, "BlockFactors",
+                            lambda *args: made.append(BlockFactors(*args)) or made[-1])
+        got = problem.newton_update(res)
         assert len(made) == 1 and np.flatnonzero(made[0].factored).tolist() == factored
+        assert built == [factored]  # in one call
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

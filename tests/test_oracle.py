@@ -11,11 +11,9 @@ Frozen oracle values (scipy.integrate.quad, abs err < 1e-14):
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from annulus_flux import (
     AmickProfile,
-    ScalarField,
     VelocityField,
     amick_flow,
     amick_pressure_drop,

@@ -3,7 +3,8 @@
 The solver's steps run only inside ``solve`` and ``sweep``, and the pressure
 has one solver, the least-squares Neumann solve; the package exports no
 second way into either.  No linter runs on the sources, so an ``ast`` walk
-checks that every module-level import is used by its own module.
+checks that every module-level import of the package and of its tests is used
+by its own module.
 """
 
 import ast
@@ -15,6 +16,10 @@ import annulus_flux
 from annulus_flux import PolarGrid
 
 PACKAGE = Path(annulus_flux.__file__).parent
+# every package module but __init__.py, which imports to re-export, and every
+# test module, keyed by the test id
+MODULES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in Path(__file__).parent.glob("*.py")})
 
 
 @pytest.mark.parametrize("name", ["picard_step", "newton_step", "pressure_poisson"])
@@ -38,9 +43,8 @@ def imported_names(tree: ast.Module) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(MODULES))
 def test_every_module_import_is_used(path):
-    tree = ast.parse((PACKAGE / path).read_text())
+    tree = ast.parse(MODULES[path].read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []

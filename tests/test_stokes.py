@@ -6,6 +6,8 @@ is its own Stokes solution with constant pressure.  Both were verified by
 substitution before the build.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -13,7 +15,6 @@ from scipy.linalg import lu_factor, lu_solve
 from annulus_flux import (
     ScalarField,
     VelocityField,
-    build_grid,
     couette_trace,
     flux_carrier,
     fourier_trace,
@@ -24,7 +25,7 @@ from annulus_flux import (
     stokes_solve,
 )
 from annulus_flux.fields import velocity_l2_norm
-from annulus_flux.grid import factor_blocks, solve_blocks
+from annulus_flux.grid import BlockFactors, solve_blocks
 from annulus_flux.navier_stokes import SolverConfig, _Problem, weak_residual
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
 from annulus_flux.stokes import solve_stream_system
@@ -194,6 +195,32 @@ def test_modal_jacobian_at_lambda_zero_is_stream_blocks(grid):
     assert np.array_equal(blocks, stream)
 
 
+@pytest.mark.parametrize("trace", [
+    spiral_trace(2 * np.pi, 1.0, 1.0),
+    couette_trace(1.0, 0.0) + fourier_trace(1.0, 2.0, normal_outer={2: 0.1},
+                                            normal_inner={2: 0.05j}),
+])
+def test_lazy_blocks_equal_full_stack(grid, trace):
+    # a builder fills any runs of modes, over any number of calls, with the
+    # blocks of the full stack bit for bit, and leaves the other slices zero
+    problem = _Problem.from_trace(grid, trace, SolverConfig())
+    psi, omega = problem.stokes_state()
+    res = problem.residual(psi, omega)
+    last = grid.n_modes - 1
+    for build, full in ((grid.stream_blocks, grid.stream_blocks()),
+                        (partial(problem.modal_jacobian, res.u, omega),
+                         problem.modal_jacobian(res.u, omega))):
+        for runs in ([(0, 1)], [(3, 4)], [(1, 3), (0, 1), (7, last)], [(0, last + 1)]):
+            out = np.zeros_like(full)
+            for start, stop in runs:
+                assert build(slice(start, stop), out) is out
+            built = np.zeros(grid.n_modes, dtype=bool)
+            for start, stop in runs:
+                built[start:stop] = True
+            assert np.array_equal(out[built], full[built])
+            assert not out[~built].any()
+
+
 def test_solve_blocks_matches_lu_solve_per_block(grid):
     rng = np.random.default_rng(7)
     tr = couette_trace(1.0, 0.0) + fourier_trace(
@@ -201,7 +228,8 @@ def test_solve_blocks_matches_lu_solve_per_block(grid):
     problem = _Problem.from_trace(grid, tr, SolverConfig())
     psi, omega = problem.stokes_state()
     u = problem.velocity(ScalarField(grid, psi))
-    complex_factors = factor_blocks(problem.modal_jacobian(u, omega))
+    complex_factors = BlockFactors(partial(problem.modal_jacobian, u, omega),
+                                   grid.n_modes, 2 * grid.n_r, complex)
     for factors in (grid.stream_lu, grid.neumann_lu, complex_factors):
         lu, piv = factors.lu, factors.piv
         for shape in ((len(lu), lu.shape[1], 2), (len(lu), lu.shape[1])):
@@ -221,9 +249,10 @@ def test_factor_blocks_matches_lu_factor_per_block(grid):
     problem = _Problem.from_trace(grid, tr, SolverConfig())
     psi, omega = problem.stokes_state()
     u = problem.velocity(ScalarField(grid, psi))
-    for blocks in (grid.stream_blocks(), problem.modal_jacobian(u, omega)):
-        want = [lu_factor(block) for block in blocks]
-        factors = factor_blocks(blocks)
+    for build, dtype in ((grid.stream_blocks, float),
+                         (partial(problem.modal_jacobian, u, omega), complex)):
+        want = [lu_factor(block) for block in build()]
+        factors = BlockFactors(build, grid.n_modes, 2 * grid.n_r, dtype)
         solve_blocks(factors, np.ones(factors.piv.shape))  # reach every mode
         assert factors.factored.all()
         for k, (lu_k, piv_k) in enumerate(want):
@@ -232,14 +261,22 @@ def test_factor_blocks_matches_lu_factor_per_block(grid):
 
 
 def test_solve_blocks_skips_exactly_zero_slices(grid):
-    # a zero slice needs no factor; a NaN slice is not zero and is solved
+    # a zero slice needs no block; a NaN slice is not zero and is solved.
+    # The reached blocks are built in one call, and the others never
     rhs = np.zeros((grid.n_modes, 2 * grid.n_r, 2))
     rhs[0, 3, 0] = 1.0
     rhs[2, 5, 1] = np.nan
     rhs[4, 0, 1] = -1e-300
-    factors = factor_blocks(grid.stream_blocks())
+    built = []
+
+    def build(modes, out):
+        built.append(list(range(grid.n_modes)[modes]))
+        grid.stream_blocks(modes, out)
+
+    factors = BlockFactors(build, grid.n_modes, 2 * grid.n_r)
     got = solve_blocks(factors, rhs)
     reached = [0, 2, 4]
+    assert built == [[0], [2], [4]]
     assert np.flatnonzero(factors.factored).tolist() == reached
     blocks = grid.stream_blocks()
     for k in range(grid.n_modes):
@@ -247,8 +284,14 @@ def test_solve_blocks_skips_exactly_zero_slices(grid):
             want = lu_solve(lu_factor(blocks[k]), rhs[k], check_finite=False)
             assert np.array_equal(got[k], want, equal_nan=True)
         else:
-            assert np.array_equal(factors.lu[k], blocks[k])
+            assert not np.any(factors.lu[k])
             assert not np.any(got[k]) and not np.any(np.signbit(got[k]))
+    # a second solve builds only the blocks it reaches first, each run of
+    # consecutive modes in one call
+    rhs[:] = 0.0
+    rhs[[1, 2, 5, 6, 7], 0, 0] = 1.0
+    solve_blocks(factors, rhs)
+    assert built == [[0], [2], [4], [1], [5, 6, 7]]
     assert not np.all(np.isfinite(got[2]))
 
 
