@@ -11,7 +11,8 @@ Euler system.
 The Bernoulli check works on stream-function level sets: each tested level
 is sampled where it crosses the radial profiles of psi (linear root finding
 between collocation rings, with the head pressure interpolated by the same
-weights), and the deviation is the spread of Phi along the sampled level.
+weights) and at the nodes where psi equals it exactly, never on the angular
+edges, and the deviation is the spread of Phi along the sampled level.
 Levels touched by near-critical points of psi (gradient below 1e-6 of its
 maximum) are excluded, mirroring the level-set form of the continuum
 statement.  On exactly rotationally symmetric data the sampled values are
@@ -107,12 +108,33 @@ def bernoulli_deviation(phi: ScalarField, psi: ScalarField, n_levels: int = 64,
                         critical_rel: float = 1e-6, full_output: bool = False):
     """Worst spread of the head pressure along sampled level sets of psi.
 
+    The ``n_levels`` levels sit at the midpoints of ``n_levels`` equal parts
+    of the range of psi.  A level is sampled on the radial grid lines only:
+    where it crosses a radial edge between two rings (psi - level changes
+    sign, the product of the two ends below 0), phi is interpolated linearly
+    at the root, and at every node where psi equals the level exactly.  The
+    angular edges are not sampled.  A level with a sample at or next to a
+    near-critical node of psi, or with fewer than two samples, is not used;
+    the deviation is the largest max - min of phi over the used levels, 0.0
+    if none is used.  One scan finds the crossings: each edge's levels are
+    the ones strictly between its end values, looked up in the sorted
+    levels, so the work and memory grow with the number of crossings, not
+    with ``n_levels`` times the grid.
+
     A constant psi is degenerate (every point is critical); in that case the
-    global spread of phi is returned and flagged in the ``full_output`` info.
+    global spread of phi is returned and flagged in the ``full_output`` info,
+    which also counts the ``levels_used``.
+
+    Raises
+    ------
+    ValueError
+        If the fields live on different grids or ``n_levels`` < 1, which
+        would test nothing and pass.
     """
     if phi.grid != psi.grid:
         raise ValueError("phi and psi live on different grids")
-    g = phi.grid
+    if n_levels < 1:
+        raise ValueError(f"need n_levels >= 1 to test anything, got {n_levels}")
     pv, sv = phi.values, psi.values
     smin, smax = float(sv.min()), float(sv.max())
     span = smax - smin
@@ -127,29 +149,58 @@ def bernoulli_deviation(phi: ScalarField, psi: ScalarField, n_levels: int = 64,
         return (dev, info) if full_output else dev
 
     critical = grad_mag < critical_rel * gmax
+    del grad_psi, grad_mag  # each array goes once used, which keeps the peak to a few grids
     levels = smin + (np.arange(n_levels) + 0.5) * span / n_levels
-    worst = 0.0
-    used = 0
-    for level in levels:
-        d = sv - level
-        cross = d[:-1, :] * d[1:, :] < 0.0
-        exact = d == 0.0
-        if not cross.any() and not exact.any():
-            continue
-        touched = ((critical[:-1, :] & cross).any()
-                   or (critical[1:, :] & cross).any()
-                   or (critical & exact).any())
-        if touched:
-            continue  # level runs through a near-critical region of psi
-        t = d[:-1, :][cross] / (d[:-1, :][cross] - d[1:, :][cross])
-        samples = pv[:-1, :][cross] * (1.0 - t) + pv[1:, :][cross] * t
-        samples = np.concatenate([samples, pv[exact]])
-        if samples.size < 2:
-            continue
-        used += 1
-        worst = max(worst, float(samples.max() - samples.min()))
-    info = {"degenerate": False, "levels_used": used}
+    # the levels below each node's psi, and at or below it
+    below = np.searchsorted(levels, sv.ravel(), side="left")
+    upto = np.searchsorted(levels, sv.ravel(), side="right")
+    # the few nodes where psi is exactly on a level
+    on = np.flatnonzero(upto > below)
+    node, node_level = _ranges(below[on], upto[on] - below[on])
+    node = on[node]
+    # each radial edge (i, j)-(i+1, j) with each level strictly between its end values
+    nt = sv.shape[1]
+    start = np.minimum(upto[:-nt], upto[nt:])
+    count = np.maximum(below[:-nt], below[nt:])
+    del below, upto
+    count -= start
+    np.maximum(count, 0, out=count)  # equal end values cross no level
+    edge, level = _ranges(start, count)
+    del start, count
+    d0 = sv[:-1].ravel()[edge] - levels[level]
+    d1 = sv[1:].ravel()[edge] - levels[level]
+    # a product that underflows to 0 is no crossing: such a pair goes to a spare bin
+    level[~(d0 * d1 < 0.0)] = n_levels
+    t = d0 / (d0 - d1)
+    del d0, d1
+    samples = pv[:-1].ravel()[edge] * (1.0 - t) + pv[1:].ravel()[edge] * t
+    near_critical = critical[:-1].ravel()[edge] | critical[1:].ravel()[edge]
+
+    n_samples = np.zeros(n_levels + 1, dtype=np.intp)
+    touched = np.zeros(n_levels + 1, dtype=bool)  # a level through a near-critical region
+    top = np.full(n_levels + 1, -np.inf)
+    bottom = np.full(n_levels + 1, np.inf)
+    for lv, values, crit in ((level, samples, near_critical),
+                             (node_level, pv.ravel()[node], critical.ravel()[node])):
+        n_samples += np.bincount(lv, minlength=n_levels + 1)
+        touched[lv[crit]] = True
+        np.maximum.at(top, lv, values)
+        np.minimum.at(bottom, lv, values)
+    used = ((n_samples >= 2) & ~touched)[:n_levels]
+    worst = float((top - bottom)[:n_levels][used].max()) if used.any() else 0.0
+    info = {"degenerate": False, "levels_used": int(used.sum())}
     return (worst, info) if full_output else worst
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, start[i] + j) for every 0 <= j < count[i], ordered by i, then j."""
+    item = np.repeat(np.arange(count.size), count)
+    offset = np.cumsum(count)
+    offset -= count
+    np.subtract(start, offset, out=offset)  # start[i] less the pairs before item i
+    k = offset[item]
+    k += np.arange(item.size)
+    return item, k
 
 
 # -- identities ---------------------------------------------------------------------

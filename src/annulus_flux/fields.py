@@ -265,13 +265,6 @@ def grad_squared(u: VelocityField) -> ScalarField:
     return ScalarField._adopt(u.grid, a * a + b * b + c * c + d * d)
 
 
-def grad_inner(u: VelocityField, v: VelocityField) -> ScalarField:
-    """Pointwise contraction grad(u) : grad(v) in the orthonormal polar frame."""
-    _check_same_grid(u, v)
-    frames = zip(_gradient_frame(u), _gradient_frame(v))
-    return ScalarField._adopt(u.grid, sum(x * y for x, y in frames))
-
-
 def dirichlet_norm(w: VelocityField) -> float:
     """H(Omega) seminorm (integral of |grad w|^2)^(1/2)."""
     return float(np.sqrt(max(integrate(w.grid, grad_squared(w)), 0.0)))

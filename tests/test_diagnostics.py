@@ -9,6 +9,8 @@ The head-pressure volume identity int Phi = p1 |Omega_1| - p2 |Omega_2| was
 also verified analytically by parts before the build.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -36,12 +38,98 @@ from annulus_flux import (
     stream_function,
 )
 from annulus_flux.diagnostics import DiagnosticsRecord, diagnostics_for_fields
-from annulus_flux.fields import velocity_l2_norm
+from annulus_flux.fields import gradient, velocity_l2_norm
 from annulus_flux.grid import build_grid
 
 SIN2_DROP = 0.25227669216659465
 SIN2_ID37_LHS = 3.1702024111300284
 COUETTE_CENTRIPETAL_L2 = 3.5740451421894317
+
+
+def _levels(sv, n_levels):
+    smin, smax = float(sv.min()), float(sv.max())
+    return smin + (np.arange(n_levels) + 0.5) * (smax - smin) / n_levels
+
+
+def _bernoulli_reference(phi, psi, n_levels=64, critical_rel=1e-6):
+    """Bernoulli deviation level by level, each level tested on the whole grid."""
+    pv, sv = phi.values, psi.values
+    smin, smax = float(sv.min()), float(sv.max())
+    span = smax - smin
+    grad_psi = gradient(psi)
+    grad_mag = np.hypot(grad_psi.u_r.values, grad_psi.u_theta.values)
+    gmax = float(grad_mag.max())
+    if span <= 1e-12 * max(1.0, abs(smin), abs(smax)) or gmax == 0.0:
+        return float(pv.max() - pv.min()), {"degenerate": True, "levels_used": 0}
+    critical = grad_mag < critical_rel * gmax
+    worst = 0.0
+    used = 0
+    for level in _levels(sv, n_levels):
+        d = sv - level
+        cross = d[:-1, :] * d[1:, :] < 0.0
+        exact = d == 0.0
+        if not cross.any() and not exact.any():
+            continue
+        if ((critical[:-1, :] & cross).any() or (critical[1:, :] & cross).any()
+                or (critical & exact).any()):
+            continue
+        t = d[:-1, :][cross] / (d[:-1, :][cross] - d[1:, :][cross])
+        samples = pv[:-1, :][cross] * (1.0 - t) + pv[1:, :][cross] * t
+        samples = np.concatenate([samples, pv[exact]])
+        if samples.size < 2:
+            continue
+        used += 1
+        worst = max(worst, float(samples.max() - samples.min()))
+    return worst, {"degenerate": False, "levels_used": used}
+
+
+def _smooth(g, rng):
+    """A random smooth non-axisymmetric field of unit size."""
+    a, b, c = rng.uniform(0.0, 2 * np.pi, 3)
+    return (np.sin(np.pi * (g.rr - 1.0)) * np.cos(g.tt - a)
+            + 0.3 * (g.rr - 1.0) ** 2 * np.sin(2 * g.tt + b) + 0.1 * np.cos(3 * g.tt + c))
+
+
+def _plateaus(g, rng):
+    # psi takes the values k + 0.5 and spans [0, 64]: with 64 levels, those are the levels
+    s = 64.0 * (_smooth(g, rng) + 1.5) / 3.0
+    sv = np.clip(np.floor(s), 0.0, 63.0) + 0.5
+    sv[0, 0], sv[-1, -1] = 0.0, 64.0
+    return ScalarField(g, rng.standard_normal(s.shape)), ScalarField(g, sv), {}
+
+
+def _critical(g, rng):
+    # a wide critical threshold around the extrema of psi skips the levels through them
+    sv = np.sin(np.pi * (g.rr - 1.0)) * np.cos(g.tt - g.theta[rng.integers(g.n_theta)])
+    return ScalarField(g, _smooth(g, rng)), ScalarField(g, sv), {"critical_rel": 0.2}
+
+
+def _underflow(g, rng):
+    # the middle of 3 levels on [-1.5, 1.5] is exactly 0; straddling it by 1e-170 the
+    # product d0 * d1 underflows to -0.0 and the edge does not count as a crossing,
+    # by 1e-160 it stays a subnormal and the edge does
+    sv = rng.uniform(-1.5, 1.5, (g.n_r, g.n_theta))
+    sv[0, 0], sv[-1, -1] = -1.5, 1.5
+    for j, tiny in enumerate([1e-170, 1e-160, 1e-170, 5e-162]):
+        sv[2 * j + 1, j + 1], sv[2 * j + 2, j + 1] = tiny, -tiny
+    return ScalarField(g, rng.standard_normal(sv.shape)), ScalarField(g, sv), {"n_levels": 3}
+
+
+BERNOULLI_CASES = {
+    "smooth": lambda g, rng: (ScalarField(g, _smooth(g, rng)), ScalarField(g, _smooth(g, rng)),
+                              {}),
+    "few_levels": lambda g, rng: (ScalarField(g, _smooth(g, rng)),
+                                  ScalarField(g, _smooth(g, rng)), {"n_levels": 7}),
+    "one_level": lambda g, rng: (ScalarField(g, _smooth(g, rng)),
+                                 ScalarField(g, _smooth(g, rng)), {"n_levels": 1}),
+    "noise": lambda g, rng: (ScalarField(g, rng.standard_normal((g.n_r, g.n_theta))),
+                             ScalarField(g, rng.standard_normal((g.n_r, g.n_theta))), {}),
+    "plateaus": _plateaus,
+    "critical": _critical,
+    "underflow": _underflow,
+    "degenerate": lambda g, rng: (ScalarField(g, _smooth(g, rng)),
+                                  ScalarField(g, np.full((g.n_r, g.n_theta), 0.7)), {}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +226,59 @@ class TestBernoulli:
         other = build_grid(16, 16, 1.0, 2.0)
         with pytest.raises(ValueError, match="different grids"):
             bernoulli_deviation(ScalarField.zeros(grid), ScalarField.zeros(other))
+
+    @pytest.mark.parametrize("n_levels", [0, -3])
+    def test_no_levels_rejected(self, grid, n_levels):
+        # no level tested would read as a zero deviation, a vacuous pass
+        psi = ScalarField.from_function(grid, lambda r, t: r)
+        with pytest.raises(ValueError, match="n_levels"):
+            bernoulli_deviation(psi, psi, n_levels=n_levels)
+
+    @pytest.mark.parametrize("shape", [(16, 8), (32, 64), (64, 128)])
+    @pytest.mark.parametrize("case", sorted(BERNOULLI_CASES))
+    def test_matches_per_level_reference(self, shape, case):
+        g = build_grid(*shape, 1.0, 2.0)
+        rng = np.random.default_rng([shape[0], shape[1], sorted(BERNOULLI_CASES).index(case)])
+        phi, psi, kwargs = BERNOULLI_CASES[case](g, rng)
+        got = bernoulli_deviation(phi, psi, full_output=True, **kwargs)
+        want = _bernoulli_reference(phi, psi, **kwargs)
+        assert got == want
+        assert type(got[0]) is float
+
+    def test_peak_memory_at_64x128(self):
+        # the per-level loop peaked at 0.28 MiB here; a scan that enumerated
+        # candidate levels per node, not crossings, at 2.26 MiB
+        g = build_grid(64, 128, 1.0, 2.0)
+        rng = np.random.default_rng(3)
+        phi, psi = ScalarField(g, _smooth(g, rng)), ScalarField(g, _smooth(g, rng))
+        tracemalloc.start()
+        try:
+            bernoulli_deviation(phi, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
+
+    def test_reference_cases_reach_their_branches(self):
+        # each case exercises what it is named for, on every grid above
+        for shape in [(16, 8), (32, 64), (64, 128)]:
+            g = build_grid(*shape, 1.0, 2.0)
+            rng = np.random.default_rng(0)
+            phi, psi, kw = BERNOULLI_CASES["plateaus"](g, rng)
+            assert np.isin(psi.values, _levels(psi.values, 64)).sum() > 10
+            assert _bernoulli_reference(phi, psi)[1]["levels_used"] > 10
+            phi, psi, kw = BERNOULLI_CASES["critical"](g, rng)
+            crossed = sum((d[:-1] * d[1:] < 0).any()
+                          for d in psi.values - _levels(psi.values, 64)[:, None, None])
+            assert 0 < _bernoulli_reference(phi, psi, **kw)[1]["levels_used"] < crossed
+            phi, psi, kw = BERNOULLI_CASES["underflow"](g, rng)
+            d = psi.values  # the middle level is exactly 0
+            assert _levels(d, kw["n_levels"])[kw["n_levels"] // 2] == 0.0
+            opposite = np.sign(d[:-1]) * np.sign(d[1:]) < 0
+            assert (opposite & (d[:-1] * d[1:] == 0.0)).any()
+            assert (opposite & (d[:-1] * d[1:] < 0.0)).any()
+            assert _bernoulli_reference(*BERNOULLI_CASES["degenerate"](g, rng)[:2])[1] == \
+                {"degenerate": True, "levels_used": 0}
 
 
 class TestBoundaryPressures:

@@ -7,6 +7,7 @@ plus the closed form sqrt(6 pi) for rigid rotation on the (1, 2) annulus
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,20 +16,23 @@ from annulus_flux import (
     ScalarField,
     VelocityField,
     build_grid,
+    couette_trace,
     curl_of_stream,
     dirichlet_norm,
     divergence,
     flux_carrier,
     flux_inner,
+    fourier_trace,
     integrate,
     read_velocity_csv,
+    solve,
     stream_function,
     write_velocity_csv,
 )
 from annulus_flux.fields import (
+    _gradient_frame,
     flux_through_circle,
     gradient,
-    grad_inner,
     grad_squared,
     l2_norm,
     scalar_laplacian,
@@ -37,7 +41,14 @@ from annulus_flux.fields import (
     write_scalar_csv,
 )
 from annulus_flux.navier_stokes import SolverConfig, weak_residual
-from annulus_flux.testspace import divergence_free_test_fields
+from annulus_flux.testspace import ClampedFamily, angular_modes, clamped_radial_profiles
+
+
+def divergence_free_test_fields(grid, n_radial=4, n_angular=3):
+    """The clamped test family as explicit fields curl(P_m Theta_n), m-major."""
+    for profile in clamped_radial_profiles(grid, n_radial):
+        for angular in angular_modes(grid, n_angular):
+            yield curl_of_stream(ScalarField(grid, profile[:, None] * angular[None, :]))
 
 
 def test_divergence_of_carrier(grid):
@@ -174,7 +185,6 @@ def test_grad_squared_matches_norm(grid):
     u = VelocityField.from_functions(
         grid, lambda r, t: np.sin(t) / r**2, lambda r, t: np.cos(t) * r)
     assert integrate(grid, grad_squared(u)) == pytest.approx(dirichlet_norm(u) ** 2, rel=1e-12)
-    assert np.array_equal(grad_inner(u, u).values, grad_squared(u).values)
 
 
 def test_velocity_csv_round_trip(tmp_path, grid):
@@ -279,10 +289,12 @@ def test_cached_derivatives_are_kept_and_read_only(grid):
 
 
 def _weak_residual_reference(grid, w, u_aux, cfg):
-    """The weak form with every derivative taken by the grid, once per use.
+    """The weak form term by term, each explicit test field differentiated by the grid.
 
     Each test field is differentiated again in each of its three trilinear
-    terms, as ``advect`` did before fields cached their derivatives.
+    terms, as ``advect`` did before fields cached their derivatives.  Returns
+    the worst normalized defect and the size of the terms it cancels, the
+    largest (|viscous term| + |convective terms|) / norm over the family.
     """
     r = grid.rr
 
@@ -298,7 +310,7 @@ def _weak_residual_reference(grid, w, u_aux, cfg):
         conv_t = vr * grid.diff_r(at) + vt * grid.diff_theta(at) / r + vt * ar / r
         return integrate(grid, conv_r * b.u_r.values + conv_t * b.u_theta.values)
 
-    worst = 0.0
+    worst = scale = 0.0
     for eta in divergence_free_test_fields(grid, 4, 3):
         lhs = cfg.nu * integrate(grid, sum(x * y for x, y in zip(frame(w), frame(eta))))
         rhs = cfg.lam * (trilinear_ref(w + u_aux, eta, w) + trilinear_ref(w, eta, u_aux)
@@ -307,18 +319,78 @@ def _weak_residual_reference(grid, w, u_aux, cfg):
         norm = float(np.sqrt(max(integrate(grid, a * a + b * b + c * c + d * d), 0.0)))
         if norm > 0:
             worst = max(worst, abs(lhs - rhs) / norm)
-    return worst
+            scale = max(scale, (abs(lhs) + abs(rhs)) / norm)
+    return worst, scale
 
 
-def test_weak_residual_matches_uncached_reference(grid):
+def _weak_residual_inputs(grid):
     w = curl_of_stream(ScalarField.from_function(
         grid, lambda r, t: (r - 1) ** 2 * (2 - r) ** 2 * (1 + np.sin(2 * t) + np.cos(t))))
     u_aux = flux_carrier(grid, 0.7) + VelocityField.from_functions(
         grid, lambda r, t: np.cos(3 * t) / r, lambda r, t: r + np.sin(t))
-    cfg = SolverConfig(nu=0.3, lam=0.8)
-    got = weak_residual(grid, w, u_aux, cfg)
-    assert got > 0.0
-    assert got == _weak_residual_reference(grid, w, u_aux, cfg)
+    return w, u_aux, SolverConfig(nu=0.3, lam=0.8)
+
+
+def test_weak_residual_matches_uncached_reference():
+    # one contraction sums the terms in another order than the reference, so
+    # the two agree to rounding, not bit for bit
+    for shape in [(32, 16), (16, 8), (24, 16), (32, 64)]:
+        g = build_grid(*shape, 1.0, 2.0)
+        w, u_aux, cfg = _weak_residual_inputs(g)
+        got = weak_residual(g, w, u_aux, cfg)
+        want, _ = _weak_residual_reference(g, w, u_aux, cfg)
+        assert got > 0.0
+        assert abs(got - want) <= 1e-13 * want, shape
+
+
+def test_weak_residual_of_converged_solve_matches_reference():
+    # the residual of a converged state is rounding left over from cancelling
+    # terms of order 1, so it can only agree to a bound tied to the terms
+    g = build_grid(24, 16, 1.0, 2.0)
+    trace = couette_trace(1.0, 0.0) + fourier_trace(
+        1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
+    cfg = SolverConfig(method="newton")
+    report = solve(g, trace, cfg)
+    assert report.converged
+    u_aux = report.u - report.w
+    want, scale = _weak_residual_reference(g, report.w, u_aux, cfg)
+    assert scale > 0.01  # the terms do not vanish
+    assert abs(weak_residual(g, report.w, u_aux, cfg) - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (32, 16), (24, 6)])
+def test_clamped_family_frames_match_explicit_fields(shape):
+    g = build_grid(*shape, 1.0, 2.0)
+    family = ClampedFamily(g, 4, 3)
+    explicit = list(divergence_free_test_fields(g, 4, 3))
+    n_angular = len(angular_modes(g, 3))
+    assert len(explicit) == 4 * n_angular == 4 * min(7, g.n_theta - 1)
+    for index, eta in enumerate(explicit):
+        m, n = divmod(index, n_angular)
+        for want, pairs in zip(_gradient_frame(eta), family.frames):
+            got = sum(radial[m][:, None] * angular[n][None, :] for radial, angular in pairs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+    norms = [dirichlet_norm(eta) for eta in explicit]
+    assert np.allclose(family.dirichlet_norms().ravel(), norms, rtol=1e-12, atol=0.0)
+
+
+def test_weak_residual_rejects_empty_family(grid):
+    w, u_aux, cfg = _weak_residual_inputs(grid)
+    with pytest.raises(ValueError, match="n_radial"):
+        weak_residual(grid, w, u_aux, cfg, n_radial=0)
+
+
+def test_weak_residual_peak_memory_at_64x128():
+    # the per-field loop peaked at 1.52 MiB here
+    g = build_grid(64, 128, 1.0, 2.0)
+    w, u_aux, cfg = _weak_residual_inputs(g)
+    tracemalloc.start()
+    try:
+        weak_residual(g, w, u_aux, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_scalar_field_rejects_nonfinite(grid):
