@@ -12,12 +12,10 @@ the associated integral identities) against closed-form reference flows.
 from .boundary import (
     BoundaryTrace,
     couette_trace,
-    extension_report,
     flux_carrier,
     fourier_trace,
     make_trace,
     pure_flux_trace,
-    solenoidal_extension,
     spiral_trace,
 )
 from .diagnostics import (

@@ -1,4 +1,4 @@
-"""Boundary data on the two circles, admissibility, and solenoidal extensions.
+"""Boundary data on the two circles, admissibility, and the clamped stream data.
 
 A boundary datum is stored as angular Fourier data of its normal and angular
 components on each circle.  The normal is always outward with respect to the
@@ -12,6 +12,10 @@ Coefficients use the one-sided convention
 
 i.e. c_0 is the mean (imaginary part ignored) and c_k = a_k - i b_k for the
 cos/sin pair at harmonic k >= 1.
+
+The solenoidal extension of a datum is its Stokes solution (see the stokes
+module), built from the two pieces here: the flux carrier and the clamped
+stream data of the zero-flux remainder.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fields import VelocityField, curl_of_stream, dirichlet_norm, velocity_l2_norm
+from .fields import VelocityField
 from .grid import PolarGrid
 
 Coefficients = Mapping[int, complex]
@@ -226,32 +230,37 @@ def make_trace(spec: Mapping) -> BoundaryTrace:
     Supported presets: ``pure_flux`` (flux), ``couette`` (omega1, omega2),
     ``spiral`` (flux, amplitude, nu), ``fourier`` (coefficient tables keyed
     by harmonic, values scalar or [re, im] pairs).  Radii default to the
-    canonical (1, 2) annulus.
+    canonical (1, 2) annulus.  Raises ValueError on an unknown preset and on
+    any key its preset does not read.
     """
     spec = dict(spec)
     preset = spec.pop("preset", None)
     r_inner = float(spec.pop("r_inner", 1.0))
     r_outer = float(spec.pop("r_outer", 2.0))
+    keys = {
+        "pure_flux": ("flux",),
+        "couette": ("omega1", "omega2"),
+        "spiral": ("flux", "amplitude", "nu"),
+        "fourier": ("normal_outer", "angular_outer", "normal_inner", "angular_inner"),
+    }
+    if preset not in keys:
+        raise ValueError(f"unknown boundary preset {preset!r}")
+    unknown = sorted(set(spec) - set(keys[preset]))
+    if unknown:
+        raise ValueError(f"preset {preset!r} does not read {', '.join(unknown)}")
     if preset == "pure_flux":
-        return pure_flux_trace(float(spec.pop("flux")), r_inner, r_outer)
+        return pure_flux_trace(float(spec["flux"]), r_inner, r_outer)
     if preset == "couette":
-        return couette_trace(float(spec.pop("omega1", 0.0)), float(spec.pop("omega2", 0.0)),
+        return couette_trace(float(spec.get("omega1", 0.0)), float(spec.get("omega2", 0.0)),
                              r_inner, r_outer)
     if preset == "spiral":
-        return spiral_trace(float(spec.pop("flux")), float(spec.pop("amplitude", 1.0)),
-                            float(spec.pop("nu", 1.0)), r_inner, r_outer)
-    if preset == "fourier":
-        return fourier_trace(
-            r_inner, r_outer,
-            _parse_coefficients(spec.pop("normal_outer", None)),
-            _parse_coefficients(spec.pop("angular_outer", None)),
-            _parse_coefficients(spec.pop("normal_inner", None)),
-            _parse_coefficients(spec.pop("angular_inner", None)),
-        )
-    raise ValueError(f"unknown boundary preset {preset!r}")
+        return spiral_trace(float(spec["flux"]), float(spec.get("amplitude", 1.0)),
+                            float(spec.get("nu", 1.0)), r_inner, r_outer)
+    return fourier_trace(r_inner, r_outer,
+                         *(_parse_coefficients(spec.get(name)) for name in keys["fourier"]))
 
 
-# -- carrier and extension ---------------------------------------------------------
+# -- carrier and stream data -------------------------------------------------------
 
 
 def flux_carrier(grid: PolarGrid, flux: float) -> VelocityField:
@@ -297,61 +306,3 @@ def boundary_stream_data(grid: PolarGrid, trace: BoundaryTrace):
     dpsi_outer = -rem.angular_values("outer", theta)
     dpsi_inner = -rem.angular_values("inner", theta)
     return psi_bnd["outer"], dpsi_outer, psi_bnd["inner"], dpsi_inner
-
-
-def _hermite_quintic(t: np.ndarray):
-    """Cardinal quintic basis for (value, slope) data at both ends, zero end curvature."""
-    t2, t3 = t * t, t**3
-    t4, t5 = t2 * t2, t2 * t3
-    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-    h10 = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-    return h00, h10, h01, h11
-
-
-def extension_stream(grid: PolarGrid, trace: BoundaryTrace) -> np.ndarray:
-    """Quintic-in-r blend of the boundary stream data of the zero-flux remainder."""
-    psi_o, dpsi_o, psi_i, dpsi_i = boundary_stream_data(grid, trace)
-    span = grid.r_outer - grid.r_inner
-    t = (grid.r - grid.r_inner) / span
-    h00, h10, h01, h11 = _hermite_quintic(t)
-    return (
-        np.outer(h00, psi_i) + span * np.outer(h10, dpsi_i)
-        + np.outer(h01, psi_o) + span * np.outer(h11, dpsi_o)
-    )
-
-
-def solenoidal_extension(grid: PolarGrid, trace: BoundaryTrace) -> VelocityField:
-    """Divergence-free interior field attaining the boundary datum.
-
-    Built as flux carrier plus the curl of a quintic blend of the remainder's
-    boundary stream data, so the construction is linear in the datum and the
-    divergence vanishes to rounding.
-    """
-    from .fields import ScalarField
-
-    psi_ext = ScalarField(grid, extension_stream(grid, trace))
-    return flux_carrier(grid, trace.flux) + curl_of_stream(psi_ext)
-
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    """Empirical data for the extension bound: norms and their ratio."""
-
-    field_norm: float
-    trace_norm: float
-    ratio: float
-
-
-def extension_report(grid: PolarGrid, trace: BoundaryTrace) -> ExtensionReport:
-    """W^{1,2} norm of the extension against the trace-norm proxy.
-
-    The continuous bound has a nonconstructive constant; only this
-    empirical ratio is reported.
-    """
-    a_field = solenoidal_extension(grid, trace)
-    w12 = float(np.sqrt(velocity_l2_norm(a_field) ** 2 + dirichlet_norm(a_field) ** 2))
-    proxy = trace.trace_norm_proxy()
-    ratio = w12 / proxy if proxy > 0 else 0.0
-    return ExtensionReport(field_norm=w12, trace_norm=proxy, ratio=ratio)

@@ -81,15 +81,18 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
-        def section(name, default=None):
+        def section(name, keys=None, default=None):
             value = raw.get(name, default)
             if value is None:
                 raise ConfigError(f"missing config section {name!r}")
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
+            if keys is not None:  # make_trace checks the boundary block's keys
+                _check_keys(name, value, keys)
             return value
 
-        gspec = section("grid", {"n_r": 32, "n_theta": 64, "r_inner": 1.0, "r_outer": 2.0})
+        _check_keys("config", raw, ("grid", "nu", "boundary", "solver", "sweep", "output"))
+        gspec = section("grid", ("n_r", "n_theta", "r_inner", "r_outer"), {})
         try:
             grid = build_grid(
                 int(gspec.get("n_r", 32)), int(gspec.get("n_theta", 64)),
@@ -112,9 +115,7 @@ class RunConfig:
             raise ConfigError(f"boundary: data of size {size:.3e} exceed {DATA_BOUND:.3e}, "
                               "beyond which the pressure overflows")
 
-        sspec = raw.get("solver", {})
-        if not isinstance(sspec, dict):
-            raise ConfigError("config section 'solver' must be an object")
+        sspec = section("solver", ("lambda", "method", "tol", "max_iter", "damping"), {})
         try:
             solver = SolverConfig(
                 nu=float(raw.get("nu", 1.0)),
@@ -130,7 +131,7 @@ class RunConfig:
         sweep_parameter = None
         sweep_values = None
         if "sweep" in raw:
-            wspec = section("sweep")
+            wspec = section("sweep", ("parameter", "values"))
             sweep_parameter = wspec.get("parameter")
             if sweep_parameter not in ("lambda", "flux"):
                 raise ConfigError("sweep.parameter must be 'lambda' or 'flux'")
@@ -143,9 +144,7 @@ class RunConfig:
                 raise ConfigError(f"sweep.values: {exc}") from exc
             _check_sweep_values(sweep_parameter, sweep_values)
 
-        ospec = raw.get("output", {})
-        if not isinstance(ospec, dict):
-            raise ConfigError("config section 'output' must be an object")
+        ospec = section("output", ("directory", "formats"), {})
         out_dir = str(ospec.get("directory", "."))
         formats = ospec.get("formats", ["json", "csv"])
         if not isinstance(formats, list) or not all(f in ("json", "csv") for f in formats):
@@ -153,6 +152,13 @@ class RunConfig:
         return cls(grid=grid, trace=trace, solver=solver,
                    sweep_parameter=sweep_parameter, sweep_values=sweep_values,
                    out_dir=out_dir, formats=list(formats))
+
+
+def _check_keys(name: str, spec: dict, keys: tuple[str, ...]) -> None:
+    """Raise ConfigError naming every key of ``spec`` not in ``keys``."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {', '.join(unknown)}")
 
 
 def _check_sweep_values(parameter: str, values: list[float]) -> None:

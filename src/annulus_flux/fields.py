@@ -237,12 +237,6 @@ def flux_inner(u: VelocityField) -> float:
     return float(-(u.u_r.values[-1, :] * g.r_inner).sum() * g.w_theta)
 
 
-def flux_through_circle(u: VelocityField, row: int) -> float:
-    """Flux of u through the circle r = r[row], oriented outward (+e_r)."""
-    g = u.grid
-    return float((u.u_r.values[row, :] * g.r[row]).sum() * g.w_theta)
-
-
 def _gradient_frame(u: VelocityField) -> tuple[np.ndarray, ...]:
     """The four orthonormal-frame components of the velocity gradient.
 

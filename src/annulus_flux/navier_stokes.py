@@ -19,21 +19,22 @@ blocks, the Jacobian at lambda = 0, for -F: the biharmonic problem per
 angular mode with the whole convective term frozen at the current iterate
 (linear convergence).  A Newton step differentiates both convection slots.
 At lambda = 0 the problem is the linear Stokes problem, and a solve returns
-the Stokes state after 0 iterations.  Every Newton step is Jacobian-free
-Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004): GMRES on the
-analytic Jacobian-vector product, built from the residual's own FFT and
-radial operators, right-preconditioned by the per-mode Jacobian about the
-angular mean.  Each of its blocks is assembled and factored at most once per
-step, when a solve first reaches that mode: about a rotationally symmetric
-state the preconditioner is the exact Jacobian, every mode k >= 1 of the
-residual is exactly zero, so only the mode-0 block is built, and GMRES takes
-no iterations.
+the Stokes state, with the Stokes pressure, after 0 iterations.  Every
+Newton step is Jacobian-free Newton-Krylov (Knoll & Keyes, J. Comput. Phys.
+193, 2004): GMRES on the analytic Jacobian-vector product, built from the
+residual's own FFT and radial operators, right-preconditioned by the
+per-mode Jacobian about the angular mean.  Each of its blocks is assembled
+and factored at most once per step, when a solve first reaches that mode:
+about a rotationally symmetric state the preconditioner is the exact
+Jacobian, every mode k >= 1 of the residual is exactly zero, so only the
+mode-0 block is built, and GMRES takes no iterations.
 GMRES runs to a relative 1e-10, floored at the residual's rounding level; a
 miss within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.
 Memory is at most n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1
-Krylov vectors.  A continuation sweep holds the clamped stream data fixed,
-so it builds them and solves the Stokes state once and every point shares
-them.
+Krylov vectors.  Every iteration starts from the Stokes state of the clamped
+stream data (``StreamBC.stokes_state``).  A continuation sweep holds those
+data fixed, so it builds them and solves the Stokes state once and every
+point shares them.
 
 Convergence is measured after each applied step, first by the step defect,
 the Dirichlet norm of the velocity update relative to max(1, J) (for Picard
@@ -232,9 +233,6 @@ class _Problem:
         vr, vt = v.u_r.values, v.u_theta.values
         wt = w.u_theta
         return vr * wt.d_r + vt * wt.d_theta / rr + vt * w.u_r.values / rr
-
-    def stokes_state(self) -> tuple[np.ndarray, np.ndarray]:
-        return solve_stream_system(self.grid, self.bc.stokes_rhs(self.grid))
 
     def update_norm(self, dpsi: np.ndarray) -> float:
         return dirichlet_norm(curl_of_stream(ScalarField(self.grid, dpsi)))
@@ -479,12 +477,12 @@ class _Solution(NamedTuple):
 
 
 def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
-             on_iterate: Callable | None = None,
              warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> _Solution:
     """Run the configured iteration from the Stokes state or ``warm_start``; measure J.
 
-    ``stokes_state`` is ``problem.stokes_state()``, which depends only on the
-    clamped stream data, so a sweep solves it once for all its points.
+    ``stokes_state`` is ``problem.bc.stokes_state(problem.grid)``, which
+    depends only on the clamped stream data, so a sweep solves it once for
+    all its points.
     F is evaluated once per iterate and feeds the step from it.  After a
     step is applied the iteration has converged when the step defect is
     below ``tol`` or, failing that, when ||F|| at the new iterate is at most
@@ -531,8 +529,6 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
         steps.append(step)
         psi = psi + cfg.damping * dpsi
         omega = omega + cfg.damping * domega
-        if on_iterate is not None:
-            on_iterate(problem.velocity(ScalarField(grid, psi)))
         if defect < cfg.tol:
             converged = True
             break
@@ -549,19 +545,18 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
 
 
 def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
-          on_iterate: Callable | None = None,
           warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> SolveReport:
     """Solve the steady problem for the datum ``trace`` at the configured lambda.
 
     Starts from w = 0 (the Stokes solution) unless a warm-start state is
     given; attaches the least-squares pressure and the diagnostics record.
     At lambda = 0 the Stokes state is the solution: the report holds it
-    with J = 0, converged after 0 iterations, whatever the warm start.
-    The prescribed flux is carried exactly at every iterate because the
-    carrier never enters the iteration.
+    with J = 0, converged after 0 iterations, whatever the warm start, and
+    its pressure is the Stokes pressure.  The prescribed flux is carried
+    exactly at every iterate because the carrier never enters the iteration.
     """
     problem = _Problem.from_trace(grid, trace, cfg)
-    sol = _iterate(problem, problem.stokes_state(), on_iterate, warm_start)
+    sol = _iterate(problem, problem.bc.stokes_state(grid), warm_start)
     u, psi = sol.u, sol.psi
     p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu, full_output=True)
     psi_zero_flux = ScalarField(grid, psi - psi[-1, 0])
@@ -607,7 +602,7 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
 
     remainder = trace.zero_flux_remainder()
     bc = StreamBC.from_trace(grid, trace)
-    stokes_state = solve_stream_system(grid, bc.stokes_rhs(grid))
+    stokes_state = bc.stokes_state(grid)
     points: list[SweepPoint] = []
     warm: tuple[np.ndarray, np.ndarray] | None = None
     last_value: float | None = None

@@ -1,5 +1,10 @@
 """Linear spectral solvers: the auxiliary Stokes problem and the pressure.
 
+The Stokes solution is the solenoidal extension of the boundary datum, and
+:func:`stokes_solve` returns its velocity.  Every Stokes state comes from
+:meth:`StreamBC.stokes_state`; its pressure comes from
+:func:`~annulus_flux.navier_stokes.solve` at lambda = 0.
+
 Everything here reduces to independent boundary-value problems in r, one per
 angular Fourier mode: dense collocation matrices with boundary rows replaced.
 The grid holds each family as one lazy stack of per-mode blocks and their LU
@@ -80,6 +85,10 @@ class StreamBC:
         rhs[1, -1] = np.fft.rfft(self.psi_inner)
         return rhs
 
+    def stokes_state(self, grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal (psi, omega) of the Stokes problem with these clamped data."""
+        return solve_stream_system(grid, self.stokes_rhs(grid))
+
 
 def solve_stream_system(grid: PolarGrid, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the per-mode clamped biharmonic pair for nodal (psi, omega).
@@ -104,23 +113,21 @@ class StokesSolution:
     """Solution of the auxiliary Stokes problem with the given boundary datum."""
 
     velocity: VelocityField
-    pressure: ScalarField
     trace_error: float
     norm_ratio: float
 
 
-def stokes_solve(grid: PolarGrid, trace: BoundaryTrace, nu: float = 1.0) -> StokesSolution:
-    """Velocity of the Stokes problem attaining ``trace``, with its pressure.
+def stokes_solve(grid: PolarGrid, trace: BoundaryTrace) -> StokesSolution:
+    """Velocity of the Stokes problem attaining ``trace``: the extension of the datum.
 
-    The velocity is viscosity independent (pure Dirichlet data); ``nu``
-    only scales the pressure.  The reported ``norm_ratio`` is the empirical
-    stand-in for the nonconstructive Stokes bound: W^{1,2} norm of the
-    solution over the trace-norm proxy.
+    The velocity is viscosity independent (pure Dirichlet data).
+    ``trace_error`` is the largest nodal defect of the velocity on the two
+    circles.  The reported ``norm_ratio`` is the empirical stand-in for the
+    nonconstructive extension bound: W^{1,2} norm of the solution over the
+    trace-norm proxy.
     """
-    bc = StreamBC.from_trace(grid, trace)
-    psi, _ = solve_stream_system(grid, bc.stokes_rhs(grid))
+    psi, _ = StreamBC.from_trace(grid, trace).stokes_state(grid)
     velocity = flux_carrier(grid, trace.flux) + curl_of_stream(ScalarField(grid, psi))
-    pressure = pressure_from_momentum(grid, velocity, lam=0.0, nu=nu)
     theta = grid.theta
     trace_error = max(
         float(np.max(np.abs(velocity.u_r.values[0] - trace.radial_values("outer", theta)))),
@@ -131,8 +138,7 @@ def stokes_solve(grid: PolarGrid, trace: BoundaryTrace, nu: float = 1.0) -> Stok
     w12 = float(np.sqrt(velocity_l2_norm(velocity) ** 2 + dirichlet_norm(velocity) ** 2))
     proxy = trace.trace_norm_proxy()
     ratio = w12 / proxy if proxy > 0 else 0.0
-    return StokesSolution(velocity=velocity, pressure=pressure,
-                          trace_error=trace_error, norm_ratio=ratio)
+    return StokesSolution(velocity=velocity, trace_error=trace_error, norm_ratio=ratio)
 
 
 # -- pressure -----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from annulus_flux import (
     pressure_from_momentum,
     pure_flux_trace,
     radial_source,
-    solenoidal_extension,
     solve,
     spiral_flow,
     spiral_trace,
@@ -122,14 +121,14 @@ def test_identity_energy_structure(grid, amick_pair):
     defects = []
     for flux in (0.0, 1.0, 2.0):
         for u_ext in (flux_carrier(grid, flux),
-                      solenoidal_extension(
-                          grid, pure_flux_trace(flux) + couette_trace(0.4, -0.2))):
+                      stokes_solve(
+                          grid, pure_flux_trace(flux) + couette_trace(0.4, -0.2)).velocity):
             rec = identity_energy(w_hat, u_ext, 1.0, 1.0, p1, p2, flux)
             defects.append(rec.abs_diff)
     worst = max(defects)
     report("identity_energy", worst <= 1e-8,
-           f"worst |lhs - F(p1-p2)| = {worst:.3e} over carriers and stored "
-           "solenoidal extensions with F in {0, 1, 2} (tolerance 1e-8)")
+           f"worst |lhs - F(p1-p2)| = {worst:.3e} over carriers and Stokes "
+           "extensions with F in {0, 1, 2} (tolerance 1e-8)")
 
 
 def test_identity_37(grid, amick_pair):

@@ -20,9 +20,13 @@ BASE_CONFIG = {
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
+    """BASE_CONFIG with ``overrides`` merged into its sections.
+
+    A ``boundary`` override replaces the block: each preset reads its own keys.
+    """
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for key, value in (overrides or {}).items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict) and key != "boundary":
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -90,6 +94,30 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg)]) == 3
         cfg = write_config(tmp_path, {"boundary": {"preset": "martian"}})
         assert main(["solve", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "viscosity"),
+        ("grid", "n_thetta"),
+        ("boundary", "omega_1"),
+        ("solver", "lamda"),
+        ("sweep", "value"),
+        ("output", "dir"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
+        # a misspelled key used to fall back to its default: the boundary
+        # block below solved the zero datum and exited 0 with J = 0
+        overrides = {"sweep": {"parameter": "lambda", "values": [0.5, 1.0]}}
+        if section is None:
+            overrides[key] = 0.5
+        elif section == "boundary":
+            overrides["boundary"] = {"preset": "couette", key: 3.0}
+        else:
+            overrides[section] = dict(overrides.get(section, {}), **{key: 1})
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, overrides)
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("nu", [0.03, 0.001])
     def test_overflowing_boundary_data_rejected(self, tmp_path, capsys, nu):

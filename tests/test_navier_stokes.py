@@ -39,7 +39,7 @@ from annulus_flux.fields import scalar_laplacian, velocity_l2_norm
 from annulus_flux import navier_stokes
 from annulus_flux.grid import BlockFactors
 from annulus_flux.navier_stokes import _Problem, energy_cancellation
-from annulus_flux.stokes import solve_stream_system
+from annulus_flux.stokes import StreamBC, solve_stream_system
 
 NEWTON = SolverConfig(nu=1.0, lam=1.0, method="newton")
 PICARD = SolverConfig(nu=1.0, lam=1.0, method="picard")
@@ -80,7 +80,7 @@ class TestPicardStep:
         # at lambda = 0 one step from any state lands on the Stokes state
         problem, psi, omega = spiral_state(grid, SolverConfig(lam=0.0))
         dpsi, _ = problem.picard_update(problem.residual(psi, omega))
-        psi_stokes, _ = problem.stokes_state()
+        psi_stokes, _ = problem.bc.stokes_state(grid)
         assert problem.update_norm(psi + dpsi - psi_stokes) < 1e-10
 
     def test_exact_solution_is_fixed_point(self, grid):
@@ -92,7 +92,7 @@ class TestPicardStep:
         # measured Lipschitz quotient of the fixed-point map at nu = 1,
         # flux = 0.1: well below one
         problem = _Problem.from_trace(grid, spiral_trace(0.1, 0.2, 1.0), PICARD)
-        psi_stokes, omega_stokes = problem.stokes_state()
+        psi_stokes, omega_stokes = problem.bc.stokes_state(grid)
         bump = ScalarField.from_function(
             grid, lambda r, t: (r - 1) ** 2 * (2 - r) ** 2 * np.cos(t))
         lap_bump = scalar_laplacian(bump).values
@@ -126,7 +126,7 @@ class TestNewtonStep:
     def test_lambda_zero_single_step(self, grid):
         problem, psi, omega = spiral_state(grid, SolverConfig(lam=0.0))
         dpsi, _, _ = problem.newton_update(problem.residual(psi, omega))
-        psi_stokes, _ = problem.stokes_state()
+        psi_stokes, _ = problem.bc.stokes_state(grid)
         assert problem.update_norm(psi + dpsi - psi_stokes) < 1e-9
 
     def test_quadratic_convergence_from_perturbation(self, grid):
@@ -190,10 +190,11 @@ class TestSolve:
         assert report.J < 1e-12
 
     def test_flux_carried_at_every_iterate(self, grid, spiral_setting):
+        # a Picard solve stopped after 1, 2 and 3 steps reports those iterates
         trace = spiral_setting[0]
-        fluxes = []
-        solve(grid, trace, PICARD, on_iterate=lambda u: fluxes.append(flux_inner(u)))
-        assert len(fluxes) >= 2
+        reports = [solve(grid, trace, replace(PICARD, max_iter=n)) for n in (1, 2, 3)]
+        assert [report.iterations for report in reports] == [1, 2, 3]
+        fluxes = [flux_inner(report.u) for report in reports]
         assert np.max(np.abs(np.asarray(fluxes) - 2 * np.pi)) < 1e-10
 
     def test_picard_and_newton_agree(self, grid, spiral_setting):
@@ -323,10 +324,16 @@ class TestSweep:
     ])
     def test_sweep_solves_stokes_once(self, grid, monkeypatch, parameter, values):
         # the clamped stream data, and so the Stokes state, are the same at
-        # every point; a Newton sweep takes no other stream solve
+        # every point; a Newton sweep takes no other stream solve.  The
+        # Stokes state is solved in the stokes module, Picard steps here
         calls = []
-        monkeypatch.setattr(navier_stokes, "solve_stream_system",
-                            lambda *args: calls.append(args) or solve_stream_system(*args))
+
+        def counted(*args):
+            calls.append(args)
+            return solve_stream_system(*args)
+
+        monkeypatch.setattr(navier_stokes, "solve_stream_system", counted)
+        monkeypatch.setattr("annulus_flux.stokes.solve_stream_system", counted)
         result = sweep(grid, spiral_trace(1.0, 1.0, 1.0), NEWTON, parameter, values)
         assert result.all_converged()
         assert len(calls) == 1
@@ -386,7 +393,7 @@ NONAXI_CASES = {
 class TestNewtonKrylov:
     def _state(self, grid, trace):
         problem = _Problem.from_trace(grid, trace, NEWTON)
-        psi, omega = problem.stokes_state()
+        psi, omega = problem.bc.stokes_state(grid)
         return problem, psi, omega
 
     def test_jacobian_matches_difference_quotient(self, grid):
@@ -470,7 +477,7 @@ class TestNewtonKrylov:
         # holds the warm-start state itself
         monkeypatch.setattr(navier_stokes, "BLOWUP_FACTOR", 0.0)
         trace = NONAXI_CASES["couette_k2_32x16"][1]
-        psi, omega = _Problem.from_trace(grid, trace, NEWTON).stokes_state()
+        psi, omega = StreamBC.from_trace(grid, trace).stokes_state(grid)
         report = solve(grid, trace, NEWTON, warm_start=(psi, omega))
         assert report.iterations == 0 and not report.converged
         assert psi.flags.writeable and omega.flags.writeable
@@ -573,7 +580,7 @@ class TestOneProblem:
         (n_r, n_theta), trace = NONAXI_CASES[case]
         g = build_grid(n_r, n_theta, 1.0, 2.0)
         problem = _Problem.from_trace(g, trace, PICARD)
-        psi, omega = problem.stokes_state()
+        psi, omega = problem.bc.stokes_state(g)
         for _ in range(3):
             u = problem.velocity(ScalarField(g, psi))
             rhs = problem.bc.stokes_rhs(g)
@@ -594,7 +601,7 @@ class TestOneProblem:
         (n_r, n_theta), trace = NONAXI_CASES[case]
         g = build_grid(n_r, n_theta, 1.0, 2.0)
         problem = _Problem.from_trace(g, trace, NEWTON)
-        psi, omega = problem.stokes_state()
+        psi, omega = problem.bc.stokes_state(g)
         res = problem.residual(psi, omega)
         lap = scalar_laplacian(ScalarField(g, omega)).values
         terms = np.linalg.norm(g.to_modes(np.stack([omega, lap])))
@@ -604,7 +611,7 @@ class TestOneProblem:
 
     def test_lambda_zero_returns_stokes_state(self, grid):
         trace = NONAXI_CASES["couette_k2_32x16"][1]
-        psi_stokes, _ = _Problem.from_trace(grid, trace, NEWTON).stokes_state()
+        psi_stokes, _ = StreamBC.from_trace(grid, trace).stokes_state(grid)
         warm = solve(grid, trace, NEWTON)
         stokes = replace(NEWTON, lam=0.0)
         for start in (None, (warm.psi.values, warm.omega.values)):

@@ -2,18 +2,22 @@
 
 The solver's steps run only inside ``solve`` and ``sweep``, and the pressure
 has one solver, the least-squares Neumann solve; the package exports no
-second way into either.  No linter runs on the sources, so an ``ast`` walk
-checks that every module-level import of the package and of its tests is used
-by its own module.
+second way into either.  The boundary datum has one extension, the Stokes
+solution: ``stokes_solve`` returns its velocity, and the Stokes pressure
+comes from ``solve`` at lambda = 0.  No linter runs on the sources, so an
+``ast`` walk checks that every module-level import of the package and of its
+tests is used by its own module.
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import annulus_flux
-from annulus_flux import PolarGrid
+from annulus_flux import PolarGrid, StokesSolution, solve, stokes_solve
 
 PACKAGE = Path(annulus_flux.__file__).parent
 # every package module but __init__.py, which imports to re-export, and every
@@ -30,6 +34,32 @@ def test_single_step_and_dirichlet_pressure_not_exported(name):
 
 def test_grid_holds_no_dirichlet_factors():
     assert not hasattr(PolarGrid, "dirichlet_lu")
+
+
+def test_public_names():
+    # __all__ is every public name of the package namespace, so it also
+    # lists the submodules imported while the package loads
+    assert sorted(annulus_flux.__all__) == [
+        "AmickProfile", "BoundaryTrace", "ContinuationTrace", "DiagnosticsRecord",
+        "NewtonSingularError", "PolarGrid", "ScalarField", "SolveReport", "SolverConfig",
+        "StokesSolution", "SweepPoint", "VelocityField", "amick_flow", "amick_pressure_drop",
+        "bernoulli_deviation", "boundary", "boundary_pressures", "build_grid", "couette",
+        "couette_trace", "curl", "curl_of_stream", "diagnostics", "diagnostics_for_fields",
+        "diagnostics_for_solution", "dirichlet_norm", "divergence", "euler_residual",
+        "fields", "flux_carrier", "flux_inner", "fourier_trace", "grid", "head_pressure",
+        "identity_37", "identity_energy", "integrate", "make_profile", "make_trace",
+        "max_principle_check", "navier_stokes", "normalize", "oracle",
+        "pressure_from_momentum", "pure_flux_trace", "radial_source", "read_velocity_csv",
+        "solve", "spiral_flow", "spiral_trace", "stokes", "stokes_solve", "stream_function",
+        "sweep", "testspace", "weak_residual", "write_scalar_csv", "write_velocity_csv",
+    ]
+
+
+def test_stokes_entry_points():
+    assert list(inspect.signature(solve).parameters) == ["grid", "trace", "cfg", "warm_start"]
+    assert list(inspect.signature(stokes_solve).parameters) == ["grid", "trace"]
+    assert [f.name for f in dataclasses.fields(StokesSolution)] == [
+        "velocity", "trace_error", "norm_ratio"]
 
 
 def imported_names(tree: ast.Module) -> list[str]:

@@ -26,7 +26,7 @@ from annulus_flux import (
 )
 from annulus_flux.fields import velocity_l2_norm
 from annulus_flux.grid import BlockFactors, solve_blocks
-from annulus_flux.navier_stokes import SolverConfig, _Problem, weak_residual
+from annulus_flux.navier_stokes import SolverConfig, _Problem, solve, weak_residual
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
 from annulus_flux.stokes import solve_stream_system
 
@@ -48,8 +48,10 @@ def test_stokes_reproduces_couette(grid, omegas):
 def test_stokes_pure_flux_is_carrier(grid):
     sol = stokes_solve(grid, pure_flux_trace(3.0))
     assert velocity_l2_norm(sol.velocity - flux_carrier(grid, 3.0)) < 1e-10
-    # the carrier has zero viscous force, so the Stokes pressure is constant
-    assert np.max(np.abs(sol.pressure.values)) < 1e-9
+    # the carrier has zero viscous force, so the Stokes pressure, the
+    # pressure of a solve at lambda = 0, is constant
+    report = solve(grid, pure_flux_trace(3.0), SolverConfig(lam=0.0))
+    assert np.max(np.abs(report.p.values)) < 1e-9
 
 
 def test_stokes_zero_data(grid):
@@ -70,7 +72,7 @@ def test_stokes_linearity(grid):
     tr2 = pure_flux_trace(2.0)
     lhs = stokes_solve(grid, tr1 + tr2).velocity
     rhs = stokes_solve(grid, tr1).velocity + stokes_solve(grid, tr2).velocity
-    assert velocity_l2_norm(lhs - rhs) < 1e-9
+    assert velocity_l2_norm(lhs - rhs) < 1e-10
 
 
 def test_stokes_deterministic(grid):
@@ -136,10 +138,12 @@ def test_pressure_from_momentum_flags_non_solution(grid):
 
 
 def test_stokes_velocity_independent_of_viscosity(grid):
+    # the Stokes state, a solve at lambda = 0, is the same for every nu
     tr = spiral_trace(1.0, 1.0, 1.0)
-    u1 = stokes_solve(grid, tr, nu=1.0).velocity
-    u2 = stokes_solve(grid, tr, nu=7.0).velocity
+    u1 = solve(grid, tr, SolverConfig(nu=1.0, lam=0.0)).u
+    u2 = solve(grid, tr, SolverConfig(nu=7.0, lam=0.0)).u
     assert velocity_l2_norm(u1 - u2) == 0.0
+    assert velocity_l2_norm(u1 - stokes_solve(grid, tr).velocity) < 1e-12
 
 
 def reference_blocks(grid):
@@ -188,7 +192,7 @@ def test_modal_jacobian_at_lambda_zero_is_stream_blocks(grid):
     tr = spiral_trace(1.0, 1.0, 1.0) + fourier_trace(
         1.0, 2.0, normal_outer={3: 0.2}, angular_inner={2: 0.1})
     problem = _Problem.from_trace(grid, tr, SolverConfig(lam=0.0))
-    psi, omega = problem.stokes_state()
+    psi, omega = problem.bc.stokes_state(grid)
     blocks = problem.modal_jacobian(problem.velocity(ScalarField(grid, psi)), omega)
     stream = np.stack(reference_blocks(grid)[0])
     assert np.array_equal(grid.stream_blocks(), stream)
@@ -204,7 +208,7 @@ def test_lazy_blocks_equal_full_stack(grid, trace):
     # a builder fills any runs of modes, over any number of calls, with the
     # blocks of the full stack bit for bit, and leaves the other slices zero
     problem = _Problem.from_trace(grid, trace, SolverConfig())
-    psi, omega = problem.stokes_state()
+    psi, omega = problem.bc.stokes_state(grid)
     res = problem.residual(psi, omega)
     last = grid.n_modes - 1
     for build, full in ((grid.stream_blocks, grid.stream_blocks()),
@@ -226,7 +230,7 @@ def test_solve_blocks_matches_lu_solve_per_block(grid):
     tr = couette_trace(1.0, 0.0) + fourier_trace(
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
     problem = _Problem.from_trace(grid, tr, SolverConfig())
-    psi, omega = problem.stokes_state()
+    psi, omega = problem.bc.stokes_state(grid)
     u = problem.velocity(ScalarField(grid, psi))
     complex_factors = BlockFactors(partial(problem.modal_jacobian, u, omega),
                                    grid.n_modes, 2 * grid.n_r, complex)
@@ -247,7 +251,7 @@ def test_factor_blocks_matches_lu_factor_per_block(grid):
     tr = couette_trace(1.0, 0.0) + fourier_trace(
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
     problem = _Problem.from_trace(grid, tr, SolverConfig())
-    psi, omega = problem.stokes_state()
+    psi, omega = problem.bc.stokes_state(grid)
     u = problem.velocity(ScalarField(grid, psi))
     for build, dtype in ((grid.stream_blocks, float),
                          (partial(problem.modal_jacobian, u, omega), complex)):
