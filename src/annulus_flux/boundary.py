@@ -216,10 +216,18 @@ def fourier_trace(r_inner: float, r_outer: float,
 
 
 def _parse_coefficients(raw) -> dict[int, complex]:
+    """The harmonic table of a ``fourier`` block (None: empty); ValueError if malformed."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"a harmonic table maps harmonics to coefficients, got {raw!r}")
     out = {}
-    for key, val in (raw or {}).items():
+    for key, val in raw.items():
         if isinstance(val, (list, tuple)):
-            val = complex(val[0], val[1] if len(val) > 1 else 0.0)
+            if len(val) not in (1, 2):
+                raise ValueError(f"harmonic {key}: a coefficient is a scalar or [re, im], "
+                                 f"got {val!r}")
+            val = complex(*val)
         out[int(key)] = complex(val)
     return out
 

@@ -70,6 +70,14 @@ def test_make_trace_rejects_keys_its_preset_does_not_read(spec, unknown):
     assert all(key in str(excinfo.value) for key in unknown)
 
 
+@pytest.mark.parametrize("table", [[0.1, 0.2], {"1": []}, {"1": [0.1, 0.2, 0.3]}])
+def test_make_trace_rejects_malformed_harmonic_tables(table):
+    # a list table used to raise AttributeError, an empty pair IndexError,
+    # and a third entry was dropped
+    with pytest.raises(ValueError, match="harmonic"):
+        make_trace({"preset": "fourier", "normal_outer": table})
+
+
 def test_spiral_trace_matches_oracle_rims(grid):
     tr = spiral_trace(2 * np.pi, 1.0, 1.0)
     # c = -1: u_r = -1/r on both rims, swirl zero inside, 1 - 1/2 outside

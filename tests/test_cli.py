@@ -119,6 +119,14 @@ class TestSolve:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_harmonic_table_rejected(self, tmp_path, capsys):
+        # a list where a table of harmonics belongs used to end in a
+        # traceback with exit 1, the verification-failure code
+        cfg = write_config(tmp_path, {"boundary": {"preset": "fourier",
+                                                   "normal_outer": [0.1, 0.2]}})
+        assert main(["solve", "--config", str(cfg), "--quiet"]) == 3
+        assert "boundary" in capsys.readouterr().err
+
     @pytest.mark.parametrize("nu", [0.03, 0.001])
     def test_overflowing_boundary_data_rejected(self, tmp_path, capsys, nu):
         # the spiral's swirl grows as r^(1 + c/nu): about 1e102 on the outer
