@@ -9,6 +9,8 @@ Bernoulli law, one-sided maximum principle, boundary pressure constants and
 the associated integral identities) against closed-form reference flows.
 """
 
+from types import ModuleType as _ModuleType
+
 from .boundary import (
     BoundaryTrace,
     couette_trace,
@@ -72,4 +74,6 @@ from .stokes import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public functions and classes; a star import binds no submodule such as grid
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

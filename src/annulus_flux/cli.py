@@ -95,7 +95,7 @@ class RunConfig:
         gspec = section("grid", ("n_r", "n_theta", "r_inner", "r_outer"), {})
         try:
             grid = build_grid(
-                int(gspec.get("n_r", 32)), int(gspec.get("n_theta", 64)),
+                _integer("grid", gspec, "n_r", 32), _integer("grid", gspec, "n_theta", 64),
                 float(gspec.get("r_inner", 1.0)), float(gspec.get("r_outer", 2.0)),
             )
         except (TypeError, ValueError) as exc:
@@ -122,7 +122,7 @@ class RunConfig:
                 lam=float(sspec.get("lambda", 1.0)),
                 method=str(sspec.get("method", "newton")),
                 tol=float(sspec.get("tol", 1e-10)),
-                max_iter=int(sspec.get("max_iter", 200)),
+                max_iter=_integer("solver", sspec, "max_iter", 200),
                 damping=float(sspec.get("damping", 1.0)),
             )
         except (TypeError, ValueError) as exc:
@@ -159,6 +159,14 @@ def _check_keys(name: str, spec: dict, keys: tuple[str, ...]) -> None:
     unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise ConfigError(f"{name}: unknown keys {', '.join(unknown)}")
+
+
+def _integer(name: str, spec: dict, key: str, default: int) -> int:
+    """``spec[key]``, or ``default`` if absent; ConfigError unless it is an integer."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _check_sweep_values(parameter: str, values: list[float]) -> None:

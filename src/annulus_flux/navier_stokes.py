@@ -28,8 +28,8 @@ and factored at most once per step, when a solve first reaches that mode:
 about a rotationally symmetric state the preconditioner is the exact
 Jacobian, every mode k >= 1 of the residual is exactly zero, so only the
 mode-0 block is built, and GMRES takes no iterations.
-GMRES runs to a relative 1e-10, floored at the residual's rounding level; a
-miss within KRYLOV_MAX_ITER iterations counts as a singular Jacobian.
+GMRES stops at a relative 1e-10, floored at the residual's rounding level, or
+at KRYLOV_MAX_ITER iterations, and its least-squares iterate gives the step.
 Memory is at most n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1
 Krylov vectors.  Every iteration starts from the Stokes state of the clamped
 stream data (``StreamBC.stokes_state``).  A continuation sweep holds those
@@ -73,15 +73,15 @@ from .testspace import ClampedFamily
 
 # GMRES target of a Newton-Krylov step, relative to the Newton residual
 KRYLOV_RTOL = 1e-10
-# hard cap on the GMRES iterations of one Newton-Krylov step; nu = 1 data
-# needs 2-6, Couette(5, 0) plus k = 2 normal data at nu = 0.002 up to 86
+# cost cap on the GMRES iterations of a Newton-Krylov step, whose iterate there
+# is the step; nu = 1 data needs 2-6, late steps at nu <= 0.002 reach the cap
 KRYLOV_MAX_ITER = 100
 # a step this many times larger than max(1, max|psi|) counts as divergence
 BLOWUP_FACTOR = 1e6
 
 
 class NewtonSingularError(RuntimeError):
-    """Raised when the Newton Jacobian is singular (candidate bifurcation datum)."""
+    """Raised on a non-finite Newton block factor or step (candidate bifurcation datum)."""
 
     def __init__(self, lam: float, flux: float):
         super().__init__(f"singular Newton Jacobian at lambda = {lam}, flux = {flux}")
@@ -130,9 +130,9 @@ class SolveReport:
     ``residual_norms`` the relative residual ||F|| / ||modes of (omega,
     Lap(omega))|| of each iterate the iteration evaluated: the start, then
     every iterate after a step that the step defect did not certify.
-    ``steps`` records each iteration's ``kind``: ``krylov`` (with
-    ``gmres_iterations``, 0 about a rotationally symmetric state),
-    ``picard`` or ``picard-fallback``.  ``psi`` and
+    ``steps`` records each iteration's ``kind``: ``krylov`` for every
+    Newton step (with ``gmres_iterations``, 0 about a rotationally symmetric
+    state, at most the cap KRYLOV_MAX_ITER) or ``picard``.  ``psi`` and
     ``omega`` are the solver's final iterate, read only: the stream function
     of the zero-flux part (``u = flux_carrier + curl(psi)``) and its
     vorticity.  ``(psi.values, omega.values)`` is a warm start for
@@ -362,8 +362,9 @@ class _Problem:
         P^-1(-F); each block of P is assembled and factored when a solve first
         reaches its mode, at most once per step.  P is exact about a
         rotationally symmetric state, where only its mode-0 block is built and
-        GMRES takes 0 iterations.
-        Raises NewtonSingularError on a singular block or a GMRES miss.
+        GMRES takes 0 iterations.  At its target or at KRYLOV_MAX_ITER
+        iterations the GMRES iterate gives the step.
+        Raises NewtonSingularError on a non-finite block factor or step.
         """
         u, vorticity = res.u, res.omega
         g = self.grid
@@ -375,11 +376,11 @@ class _Problem:
         floor = np.finfo(float).eps * res.size
         target = max(KRYLOV_RTOL * res.norm, floor)
         rhs = -res.modes - self.jacobian(u, vorticity, step)
-        solved = _gmres(lambda v: self.jacobian(u, vorticity, self.apply_modal(factors, v)),
-                        rhs, target, KRYLOV_MAX_ITER)
-        if solved is None:
+        if not np.all(np.isfinite(rhs)):  # J @ step overflowed: a non-finite step
             raise NewtonSingularError(self.cfg.lam, self.flux)
-        correction, count = solved
+        correction, count = _gmres(
+            lambda v: self.jacobian(u, vorticity, self.apply_modal(factors, v)),
+            rhs, target, KRYLOV_MAX_ITER)
         if count:  # at 0 iterations the correction is zero
             step = step + self.apply_modal(factors, correction)
         return step[0], step[1], {"kind": "krylov", "gmres_iterations": count}
@@ -427,16 +428,15 @@ def _modal_norm(*arrays: np.ndarray) -> float:
 
 
 def _gmres(apply: Callable, rhs: np.ndarray, target: float, max_iter: int):
-    """Unrestarted GMRES from zero for apply(x) = rhs: (x, iterations), or None.
+    """Unrestarted GMRES from zero for apply(x) = rhs: (x, iterations).
 
     Arnoldi with modified Gram-Schmidt under the real inner product, so
     ``apply`` need only be real-linear on complex arrays; the Hessenberg
-    least-squares problem is re-solved until its residual is <= ``target``.
-    A non-finite ``rhs`` is a miss.
+    least-squares problem is re-solved until its residual is <= ``target``,
+    the basis breaks down or ``max_iter`` iterations are spent, and x is its
+    least-squares iterate then.  ``rhs`` must be finite.
     """
     beta = float(np.linalg.norm(rhs))
-    if not np.isfinite(beta):
-        return None
     if beta <= target:
         return np.zeros_like(rhs), 0
     basis = [rhs / beta]
@@ -450,12 +450,10 @@ def _gmres(apply: Callable, rhs: np.ndarray, target: float, max_iter: int):
         e1 = np.r_[beta, np.zeros(j + 1)]
         h = hess[:j + 2, :j + 1]
         y = np.linalg.lstsq(h, e1, rcond=None)[0]
-        if np.linalg.norm(h @ y - e1) <= target:
-            return sum(c * v for c, v in zip(y, basis)), j + 1
-        if not hess[j + 1, j] > 0.0:
-            return None
+        if np.linalg.norm(h @ y - e1) <= target or not hess[j + 1, j] > 0.0:
+            break
         basis.append(w / hess[j + 1, j])
-    return None
+    return sum(c * v for c, v in zip(y, basis)), j + 1
 
 
 # -- iteration drivers --------------------------------------------------------------
@@ -487,10 +485,9 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
     step is applied the iteration has converged when the step defect is
     below ``tol`` or, failing that, when ||F|| at the new iterate is at most
     0.1 tol times the size of the terms F sums.
-    On a singular Newton Jacobian or a Krylov miss the step falls back to
-    half a Picard step for that iteration, the documented robustness
-    fallback near turning points.  A non-finite or blown-up step is not
-    applied: the iteration stops, unconverged, at the last finite iterate.
+    Every Newton iteration is one ``krylov`` step.  A non-finite or blown-up
+    step is not applied: the iteration stops, unconverged, at the last
+    finite iterate.
     At lambda = 0 the Stokes state is returned, converged after 0
     iterations, and ``warm_start`` is ignored.
     """
@@ -518,9 +515,7 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
             try:
                 dpsi, domega, step = problem.newton_update(res)
             except NewtonSingularError:
-                dpsi, domega = problem.picard_update(res)
-                dpsi, domega = 0.5 * dpsi, 0.5 * domega
-                step = {"kind": "picard-fallback"}
+                break  # a non-finite factor or step: keep the last finite iterate
         finite = np.all(np.isfinite(dpsi)) and np.all(np.isfinite(domega))
         if not finite or np.max(np.abs(dpsi)) >= BLOWUP_FACTOR * max(1.0, np.max(np.abs(psi))):
             break  # divergence: keep the last finite iterate

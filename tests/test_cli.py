@@ -95,6 +95,18 @@ class TestSolve:
         cfg = write_config(tmp_path, {"boundary": {"preset": "martian"}})
         assert main(["solve", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "n_r", 16.7), ("grid", "n_theta", 8.9), ("solver", "max_iter", 2.5),
+        ("grid", "n_r", "8"), ("solver", "max_iter", True),
+    ])
+    def test_non_integer_size_rejected(self, tmp_path, capsys, section, key, value):
+        # a size is used as given: never truncated, never parsed from a string
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {section: {key: value}})
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key", [
         (None, "viscosity"),
         ("grid", "n_thetta"),

@@ -1,7 +1,8 @@
 """Property tests: solve on random admissible data returns a report, never raises.
 
 Hypothesis draws ``fourier`` traces (flux, swirl and harmonics k = 1..4 on
-both circles) at moderate viscosity.  A converged Newton report is held to
+both circles) at moderate viscosity.  Every step of a report is a ``krylov``
+or ``picard`` step.  A converged Newton report is held to
 the benchmark's own acceptance bounds, so a stopping rule that certified a
 wrong state would show here.
 """
@@ -38,6 +39,7 @@ def test_newton_solve_reports_and_converged_states_hold_bounds(trace, nu):
     grid = build_grid(24, 32, R_INNER, R_OUTER)
     cfg = SolverConfig(nu=nu)
     report = solve(grid, trace, cfg)
+    assert all(step["kind"] in ("krylov", "picard") for step in report.steps)
     if report.converged:
         assert abs(flux_inner(report.u) - trace.flux) <= FLUX_TOL
         assert weak_residual(grid, report.w, report.u - report.w, cfg) <= WEAK_RESIDUAL_TOL
