@@ -49,7 +49,6 @@ from .fields import (
 from .grid import PolarGrid, build_grid, integrate
 from .navier_stokes import (
     ContinuationTrace,
-    NewtonSingularError,
     SolveReport,
     SolverConfig,
     SweepPoint,
@@ -62,7 +61,6 @@ from .oracle import (
     amick_flow,
     amick_pressure_drop,
     couette,
-    make_profile,
     radial_source,
     spiral_flow,
 )

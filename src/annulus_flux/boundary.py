@@ -137,15 +137,6 @@ class BoundaryTrace:
             merge(self.angular_inner, other.angular_inner),
         )
 
-    def scaled(self, c: float) -> "BoundaryTrace":
-        return BoundaryTrace(
-            self.r_inner, self.r_outer,
-            {k: c * v for k, v in self.normal_outer.items()},
-            {k: c * v for k, v in self.angular_outer.items()},
-            {k: c * v for k, v in self.normal_inner.items()},
-            {k: c * v for k, v in self.angular_inner.items()},
-        )
-
     def zero_flux_remainder(self) -> "BoundaryTrace":
         """Subtract the trace of the flux carrier so both per-circle fluxes vanish."""
         return self + _carrier_trace(-self.flux, self.r_inner, self.r_outer)
@@ -211,8 +202,7 @@ def fourier_trace(r_inner: float, r_outer: float,
                   angular_inner: Coefficients | None = None) -> BoundaryTrace:
     """Trace from explicit harmonic coefficient tables; admissibility is checked."""
     return BoundaryTrace(float(r_inner), float(r_outer),
-                         _clean(normal_outer), _clean(angular_outer),
-                         _clean(normal_inner), _clean(angular_inner))
+                         normal_outer, angular_outer, normal_inner, angular_inner)
 
 
 def _parse_coefficients(raw) -> dict[int, complex]:

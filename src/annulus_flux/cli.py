@@ -304,7 +304,11 @@ def cmd_diagnose(args) -> int:
         return EXIT_BAD_CONFIG
     grid = u.grid
     p = pressure_from_momentum(grid, u, args.lam, args.nu)
-    record = diagnostics_for_fields(grid, u, p, args.lam, args.nu)
+    try:
+        record = diagnostics_for_fields(grid, u, p, args.lam, args.nu)
+    except ValueError as exc:
+        print(f"cannot diagnose fields: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "diagnostics.json", record.to_dict())

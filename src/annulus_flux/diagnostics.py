@@ -208,16 +208,15 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class EnergyIdentity:
-    """Pairing lambda0 int (w.grad)w . U against F(p1 - p2) and the viscosity."""
+    """Pairing lambda0 int (w.grad)w . U against F(p1 - p2)."""
 
     lhs: float          # lambda0 * int (w.grad)w . U
     rhs: float          # F * (p1 - p2)
     abs_diff: float
-    nu_gap: float       # |lhs - nu|
 
 
 def identity_energy(w_hat: VelocityField, u_ext: VelocityField, lambda0: float,
-                    nu: float, p1: float, p2: float, flux: float) -> EnergyIdentity:
+                    p1: float, p2: float, flux: float) -> EnergyIdentity:
     """Evaluate both sides of the energy pairing for a normalized candidate.
 
     ``u_ext`` must be solenoidal with net inner-boundary flux ``flux``; the
@@ -225,7 +224,7 @@ def identity_energy(w_hat: VelocityField, u_ext: VelocityField, lambda0: float,
     """
     lhs = lambda0 * trilinear(w_hat, w_hat, u_ext)
     rhs = flux * (p1 - p2)
-    return EnergyIdentity(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), nu_gap=abs(lhs - nu))
+    return EnergyIdentity(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 
 @dataclass(frozen=True)
@@ -295,14 +294,11 @@ def _assemble(grid: PolarGrid, u: VelocityField, p: ScalarField, lam: float, nu:
     phi = head_pressure(u, p, lam)
     mp = max_principle_check(phi)
     if psi is None:
-        try:
-            psi = stream_function(u - flux_carrier(grid, flux), flux_tol=1e-8, div_tol=1e-6)
-        except ValueError:
-            psi = ScalarField.zeros(grid)
+        psi = stream_function(u - flux_carrier(grid, flux), flux_tol=1e-8, div_tol=1e-6)
     bern = bernoulli_deviation(phi, psi)
 
     cp1, cp2, _ = boundary_pressures(candidate_p)
-    energy = identity_energy(candidate_w, u_ext, lam, nu, cp1, cp2, flux)
+    energy = identity_energy(candidate_w, u_ext, lam, cp1, cp2, flux)
     phi_hat = head_pressure(candidate_w, candidate_p, lam)
     id37 = identity_37(phi_hat, cp1, cp2, grid)
     eul = euler_residual(candidate_w, candidate_p, lam)
@@ -350,7 +346,9 @@ def diagnostics_for_fields(grid: PolarGrid, u: VelocityField, p: ScalarField,
 
     The zero-flux part of ``u`` itself is the identity candidate (no
     normalization: every tested identity is homogeneous in the pair) and
-    the flux carrier serves as the pairing field.
+    the flux carrier serves as the pairing field.  Raises ValueError when
+    that zero-flux part has no stream function (:func:`stream_function` at
+    flux_tol 1e-8, div_tol 1e-6), since the Bernoulli spread needs one.
     """
     flux = flux_inner(u)
     carrier = flux_carrier(grid, flux)

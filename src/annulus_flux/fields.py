@@ -315,7 +315,7 @@ def stream_function(w: VelocityField, flux_tol: float = 1e-10,
     if g.n_theta > 2:
         psi_modes[:, -1] = 0.0  # Nyquist carries no consistent derivative
     psi = g.from_modes(psi_modes)
-    mean_ut = g.angular_mean(w.u_theta.values)
+    mean_ut = w.u_theta.values.mean(axis=-1)
     psi += g.radial_antiderivative(-mean_ut)[:, None]
     psi -= psi[-1, 0]
     return ScalarField._adopt(g, psi)

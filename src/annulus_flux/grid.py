@@ -100,11 +100,9 @@ class PolarGrid:
     rr, tt : broadcast (n_r, n_theta) node meshes.
     d_r, d_rr : radial differentiation matrices d/dr, d2/dr2.
     wavenumbers : the rfft angular wavenumbers 0 .. n_theta/2.
-    w_r_line : radial Clenshaw-Curtis weights on [r_inner, r_outer]
-        (no Jacobian), for line integrals in r.
-    w_area : radial weights including the polar Jacobian r; together
-        with the uniform angular weight 2*pi/n_theta they integrate
-        over the annulus.
+    w_area : radial Clenshaw-Curtis weights including the polar Jacobian
+        r; together with the uniform angular weight 2*pi/n_theta they
+        integrate over the annulus.
     area, area_outer_disk, area_inner_disk : measures of Omega,
         Omega_1 (disk bounded by Gamma_1) and Omega_2 (hole).
     mode_laplacians : (n_modes, n_r, n_r) stack of Lap_k.
@@ -124,7 +122,6 @@ class PolarGrid:
     tt: np.ndarray = field(init=False, repr=False, compare=False)
     d_r: np.ndarray = field(init=False, repr=False, compare=False)
     d_rr: np.ndarray = field(init=False, repr=False, compare=False)
-    w_r_line: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
     _angular_factors: tuple = field(init=False, repr=False, compare=False)
     w_area: np.ndarray = field(init=False, repr=False, compare=False)
@@ -148,7 +145,6 @@ class PolarGrid:
         set_(self, "tt", np.broadcast_to(theta[None, :], (self.n_r, self.n_theta)).copy())
         set_(self, "d_r", d_r)
         set_(self, "d_rr", d_r @ d_r)
-        set_(self, "w_r_line", w_line)
         k = np.arange(self.n_theta // 2 + 1)
         set_(self, "wavenumbers", k)
         # d/dtheta zeroes the Nyquist coefficient (see diff_theta)
@@ -161,7 +157,7 @@ class PolarGrid:
         set_(self, "area_outer_disk", np.pi * self.r_outer**2)
         set_(self, "area_inner_disk", np.pi * self.r_inner**2)
 
-        for array in (r, theta, self.rr, self.tt, d_r, self.d_rr, w_line, self.w_area, k,
+        for array in (r, theta, self.rr, self.tt, d_r, self.d_rr, self.w_area, k,
                       *self._angular_factors):
             array.setflags(write=False)
 
@@ -214,9 +210,6 @@ class PolarGrid:
         if not np.all(np.isfinite(rhs)):
             raise ValueError("radial antiderivative of values containing infs or NaNs")
         return solve_blocks(self._antiderivative_lu, rhs[None])[0]
-
-    def angular_mean(self, values: np.ndarray) -> np.ndarray:
-        return values.mean(axis=-1)
 
     @functools.cached_property
     def _antiderivative_lu(self) -> BlockFactors:

@@ -37,10 +37,13 @@ data fixed, so it builds them and solves the Stokes state once and every
 point shares them.
 
 Convergence is measured after each applied step, first by the step defect,
-the Dirichlet norm of the velocity update relative to max(1, J) (for Picard
+the Dirichlet norm of the velocity update relative to max(1, D) (for Picard
 the fixed-point defect, for Newton the step norm), then by the residual at
 the new iterate: ||F|| <= 0.1 tol ||modes of (omega, Lap(omega))||, the
-size of the terms F sums.  The step defect floors at the rounding level of
+size of the terms F sums.  D is the Dirichlet norm of curl(psi - psi0), the
+iterate's distance from the start iterate psi0: the Stokes state, where
+D = J, or the warm start, which for every sweep point after the first is
+the previous point's state.  The step defect floors at the rounding level of
 the direct solves, which can lie above tol on fine grids at low viscosity;
 the relative residual floors near 1e-12 there.  F is evaluated once per
 iterate and feeds the next step, so a Newton solve ends on the step that
@@ -80,13 +83,8 @@ KRYLOV_MAX_ITER = 100
 BLOWUP_FACTOR = 1e6
 
 
-class NewtonSingularError(RuntimeError):
-    """Raised on a non-finite Newton block factor or step (candidate bifurcation datum)."""
-
-    def __init__(self, lam: float, flux: float):
-        super().__init__(f"singular Newton Jacobian at lambda = {lam}, flux = {flux}")
-        self.lam = lam
-        self.flux = flux
+class _NewtonSingularError(RuntimeError):
+    """A non-finite Newton block factor or step; ``_iterate`` ends the solve on it."""
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,6 @@ class _Problem:
     def __init__(self, grid: PolarGrid, cfg: SolverConfig, flux: float, bc: StreamBC):
         self.grid = grid
         self.cfg = cfg
-        self.flux = flux
         self.bc = bc
         self.carrier = flux_carrier(grid, flux)
         self.ratio = cfg.lam / cfg.nu
@@ -340,16 +337,16 @@ class _Problem:
     def apply_modal(self, factors: BlockFactors, res: np.ndarray) -> np.ndarray:
         """Nodal (dpsi, domega) from the :meth:`modal_jacobian` factors and ``res``.
 
-        Raises NewtonSingularError on a non-finite block factor or step.
+        Raises _NewtonSingularError on a non-finite block factor or step.
         """
         g = self.grid
         try:
             sol = solve_blocks(factors, res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r))
         except ValueError as exc:
-            raise NewtonSingularError(self.cfg.lam, self.flux) from exc
+            raise _NewtonSingularError from exc
         step = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
         if not np.all(np.isfinite(step)):
-            raise NewtonSingularError(self.cfg.lam, self.flux)
+            raise _NewtonSingularError
         return step
 
     def newton_update(self, res: _Residual):
@@ -364,7 +361,7 @@ class _Problem:
         rotationally symmetric state, where only its mode-0 block is built and
         GMRES takes 0 iterations.  At its target or at KRYLOV_MAX_ITER
         iterations the GMRES iterate gives the step.
-        Raises NewtonSingularError on a non-finite block factor or step.
+        Raises _NewtonSingularError on a non-finite block factor or step.
         """
         u, vorticity = res.u, res.omega
         g = self.grid
@@ -377,7 +374,7 @@ class _Problem:
         target = max(KRYLOV_RTOL * res.norm, floor)
         rhs = -res.modes - self.jacobian(u, vorticity, step)
         if not np.all(np.isfinite(rhs)):  # J @ step overflowed: a non-finite step
-            raise NewtonSingularError(self.cfg.lam, self.flux)
+            raise _NewtonSingularError
         correction, count = _gmres(
             lambda v: self.jacobian(u, vorticity, self.apply_modal(factors, v)),
             rhs, target, KRYLOV_MAX_ITER)
@@ -514,7 +511,7 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
         else:
             try:
                 dpsi, domega, step = problem.newton_update(res)
-            except NewtonSingularError:
+            except _NewtonSingularError:
                 break  # a non-finite factor or step: keep the last finite iterate
         finite = np.all(np.isfinite(dpsi)) and np.all(np.isfinite(domega))
         if not finite or np.max(np.abs(dpsi)) >= BLOWUP_FACTOR * max(1.0, np.max(np.abs(psi))):

@@ -59,13 +59,12 @@ def couette(grid: PolarGrid, omega1: float, omega2: float) -> tuple[VelocityFiel
     return u, ScalarField(grid, p)
 
 
-def radial_source(grid: PolarGrid, flux: float, nu: float = 1.0) -> tuple[VelocityField, ScalarField]:
+def radial_source(grid: PolarGrid, flux: float) -> tuple[VelocityField, ScalarField]:
     """Source/sink flow u = -(flux / 2 pi r) e_r with p = -flux^2/(8 pi^2 r^2).
 
-    An exact steady Navier-Stokes solution for every ``nu``; the viscous
+    An exact steady Navier-Stokes solution for every viscosity; the viscous
     term vanishes identically.
     """
-    del nu  # exactness holds for every viscosity
     u = flux_carrier(grid, flux)
     p = _mean_zero(grid, -(flux**2) / (8.0 * np.pi**2 * grid.rr**2))
     return u, ScalarField(grid, p)
@@ -108,9 +107,9 @@ def spiral_flow(grid: PolarGrid, flux: float, amplitude: float,
 class AmickProfile:
     """Swirl profile f on (r_inner, r_outer) vanishing at both ends.
 
-    Profiles are named presets rather than arbitrary callables so runs are
-    reproducible from configuration files.  ``lambda0`` scales the pressure
-    of the associated Euler flow.
+    Profiles are named presets rather than arbitrary callables, so that
+    ``amick_pressure_drop`` can integrate over a preset's known support.
+    ``lambda0`` scales the pressure of the associated Euler flow.
     """
 
     kind: str
@@ -118,12 +117,6 @@ class AmickProfile:
     lambda0: float = 1.0
     r_inner: float = 1.0
     r_outer: float = 2.0
-    amplitude: float = 1.0
-
-    @classmethod
-    def zero(cls, r_inner: float = 1.0, r_outer: float = 2.0) -> "AmickProfile":
-        """The trivial profile f = 0."""
-        return cls("zero", (), 1.0, r_inner, r_outer)
 
     @classmethod
     def sin_squared(cls, lambda0: float = 1.0, r_inner: float = 1.0,
@@ -154,63 +147,19 @@ class AmickProfile:
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(r)
         if self.kind == "sin_squared":
-            base = np.sin(np.pi * (r - self.r_inner) / (self.r_outer - self.r_inner)) ** 2
-        elif self.kind == "poly_bump":
+            return np.sin(np.pi * (r - self.r_inner) / (self.r_outer - self.r_inner)) ** 2
+        if self.kind == "poly_bump":
             (order,) = self.params
             half = 0.5 * (self.r_outer - self.r_inner)
             raw = (r - self.r_inner) * (self.r_outer - r) / half**2
-            base = np.clip(raw, 0.0, None) ** order
-        elif self.kind == "shifted_bump":
+            return np.clip(raw, 0.0, None) ** order
+        if self.kind == "shifted_bump":
             lo, hi, order = self.params
             half = 0.5 * (hi - lo)
             raw = (r - lo) * (hi - r) / half**2
-            base = np.where((r > lo) & (r < hi), np.clip(raw, 0.0, None) ** order, 0.0)
-        else:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        return self.amplitude * base
-
-    def scaled(self, c: float) -> "AmickProfile":
-        """Profile with the swirl rescaled by c (the pressure drop scales by c^2)."""
-        return AmickProfile(self.kind, self.params, self.lambda0,
-                            self.r_inner, self.r_outer, self.amplitude * c)
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind, "lambda0": self.lambda0,
-            "r_inner": self.r_inner, "r_outer": self.r_outer, "amplitude": self.amplitude,
-        }
-        if self.kind == "poly_bump":
-            out["order"] = self.params[0]
-        elif self.kind == "shifted_bump":
-            out["support"] = [self.params[0], self.params[1]]
-            out["order"] = self.params[2]
-        return out
-
-
-def make_profile(spec) -> AmickProfile:
-    """Profile from a mapping such as ``AmickProfile.to_dict`` returns."""
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    lambda0 = float(spec.pop("lambda0", 1.0))
-    r_inner = float(spec.pop("r_inner", 1.0))
-    r_outer = float(spec.pop("r_outer", 2.0))
-    amplitude = float(spec.pop("amplitude", 1.0))
-    if kind == "zero":
-        profile = AmickProfile.zero(r_inner, r_outer)
-    elif kind == "sin_squared":
-        profile = AmickProfile.sin_squared(lambda0, r_inner, r_outer)
-    elif kind == "poly_bump":
-        profile = AmickProfile.poly_bump(int(spec.pop("order", 4)), lambda0, r_inner, r_outer)
-    elif kind == "shifted_bump":
-        profile = AmickProfile.shifted_bump(tuple(spec.pop("support")),
-                                            int(spec.pop("order", 6)),
-                                            lambda0, r_inner, r_outer)
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
-    return profile.scaled(amplitude) if amplitude != 1.0 else profile
+            return np.where((r > lo) & (r < hi), np.clip(raw, 0.0, None) ** order, 0.0)
+        raise ValueError(f"unknown profile kind {self.kind!r}")
 
 
 def amick_flow(grid: PolarGrid, profile: AmickProfile) -> tuple[VelocityField, ScalarField]:

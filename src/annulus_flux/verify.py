@@ -124,8 +124,7 @@ def run_checks(n_r: int = 32, n_theta: int = 64) -> list[CheckResult]:
     bp = boundary_pressures(p_hat)
     energy_gaps = []
     for flux in (0.0, 1.0, 2.0):
-        record = identity_energy(w_hat, flux_carrier(grid, flux), 1.0, 1.0,
-                                 bp.p1, bp.p2, flux)
+        record = identity_energy(w_hat, flux_carrier(grid, flux), 1.0, bp.p1, bp.p2, flux)
         energy_gaps.append(record.abs_diff)
     checks.append(CheckResult("identity_energy_amick", max(energy_gaps), 1e-8, "<="))
 
@@ -188,10 +187,11 @@ def run_checks(n_r: int = 32, n_theta: int = 64) -> list[CheckResult]:
     # spectral accuracy: spiral error must drop at least 100x from n_r=16 to 32.
     # nu = 0.35 puts the n_r=16 solve in the truncation-dominated regime
     # (swirl exponent -1.857, error 6.7e-9); at nu = 1 the profile is already
-    # resolved to ~1e-10 by 16 radial points.  The n_r=32 error (5.5e-12,
-    # ratio 1.2e3) sits at the rounding floor (2.2e-13 at n_r=24, 4.9e-11 at
-    # n_r=40), so the ratio's value swings with rounding; only the pass at
-    # >= 100 means anything.
+    # resolved to ~1e-10 by 16 radial points.  The n_r=32 error (3.5e-12,
+    # ratio 1.9e3) sits at the rounding floor (2.2e-12 at n_r=24, 5e-11 to
+    # 6.4e-11 at n_r=40 as the BLAS thread count varies), so the ratio's
+    # trailing digits swing with rounding; only the pass at >= 100 means
+    # anything.
     errors = {}
     for n_sub in (16, 32):
         sub = build_grid(n_sub, 16, 1.0, 2.0)

@@ -123,7 +123,7 @@ def test_identity_energy_structure(grid, amick_pair):
         for u_ext in (flux_carrier(grid, flux),
                       stokes_solve(
                           grid, pure_flux_trace(flux) + couette_trace(0.4, -0.2)).velocity):
-            rec = identity_energy(w_hat, u_ext, 1.0, 1.0, p1, p2, flux)
+            rec = identity_energy(w_hat, u_ext, 1.0, p1, p2, flux)
             defects.append(rec.abs_diff)
     worst = max(defects)
     report("identity_energy", worst <= 1e-8,

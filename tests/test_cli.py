@@ -333,6 +333,20 @@ class TestDiagnose:
         write_velocity_csv(dump, VelocityField.zeros(grid))
         assert main(["diagnose", str(dump), "--lambda", "2.0", "--nu", "1.0"]) == 3
 
+    def test_non_solenoidal_field_rejected(self, tmp_path, capsys):
+        # no stream function exists, so there is no Bernoulli value to report
+        grid = build_grid(16, 16, 1.0, 2.0)
+        from annulus_flux import VelocityField
+
+        dump = tmp_path / "bad.csv"
+        write_velocity_csv(dump, VelocityField.from_arrays(
+            grid, 0.1 * grid.rr * np.cos(grid.tt), np.zeros_like(grid.rr)))
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(dump), "--lambda", "1", "--nu", "1",
+                     "--out", str(out)]) == 3
+        assert "divergence L2 = 4.342e-01" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+
 
 class TestExploratory:
     def test_strong_inflow_permits_nonconvergence(self, tmp_path):

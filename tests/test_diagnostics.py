@@ -319,7 +319,7 @@ class TestMaxPrinciple:
 class TestEnergyIdentity:
     def test_zero_candidate(self, grid):
         rec = identity_energy(VelocityField.zeros(grid), flux_carrier(grid, 1.0),
-                              1.0, 1.0, 0.0, 0.0, 1.0)
+                              1.0, 0.0, 0.0, 1.0)
         assert rec.lhs == 0.0
         assert rec.rhs == 0.0
 
@@ -328,7 +328,7 @@ class TestEnergyIdentity:
         # hand reduction: lhs = lambda0 * F * int f^2/t dt = F * drop
         w, p = amick_pair
         p1, p2, _ = boundary_pressures(p)
-        rec = identity_energy(w, flux_carrier(fine_grid, flux), 1.0, 1.0, p1, p2, flux)
+        rec = identity_energy(w, flux_carrier(fine_grid, flux), 1.0, p1, p2, flux)
         assert rec.abs_diff < 1e-8
         assert rec.lhs == pytest.approx(flux * SIN2_DROP, abs=1e-10)
 
@@ -338,14 +338,14 @@ class TestEnergyIdentity:
         w, p = amick_pair
         p1, p2, _ = boundary_pressures(p)
         u_ext = stokes_solve(fine_grid, couette_trace(1.0, 0.5)).velocity
-        rec = identity_energy(w, u_ext, 1.0, 1.0, p1, p2, 0.0)
+        rec = identity_energy(w, u_ext, 1.0, p1, p2, 0.0)
         assert abs(rec.lhs) < 1e-8
         assert rec.abs_diff < 1e-8
 
     def test_linear_in_flux(self, amick_pair, fine_grid):
         w, p = amick_pair
         p1, p2, _ = boundary_pressures(p)
-        values = [identity_energy(w, flux_carrier(fine_grid, f), 1.0, 1.0,
+        values = [identity_energy(w, flux_carrier(fine_grid, f), 1.0,
                                   p1, p2, f).lhs for f in (1.0, 2.0, 4.0)]
         assert values[1] == pytest.approx(2 * values[0], rel=1e-12)
         assert values[2] == pytest.approx(4 * values[0], rel=1e-12)

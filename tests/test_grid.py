@@ -147,7 +147,7 @@ def test_radial_antiderivative_matches_lu_solve(shape):
         g.radial_antiderivative(bad)
 
 
-def test_factor_blocks_names_first_non_finite_mode():
+def test_solve_blocks_names_first_non_finite_mode():
     blocks = np.stack([np.eye(4) * (k + 1.0) for k in range(5)])
     blocks[2, 1, 1] = np.nan
     blocks[3, 0, 0] = np.inf

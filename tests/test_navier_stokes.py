@@ -14,7 +14,6 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from annulus_flux import (
-    NewtonSingularError,
     ScalarField,
     SolverConfig,
     build_grid,
@@ -38,7 +37,7 @@ from annulus_flux import (
 from annulus_flux.fields import scalar_laplacian, velocity_l2_norm
 from annulus_flux import navier_stokes
 from annulus_flux.grid import BlockFactors
-from annulus_flux.navier_stokes import _Problem, energy_cancellation
+from annulus_flux.navier_stokes import _NewtonSingularError, _Problem, energy_cancellation
 from annulus_flux.stokes import StreamBC, solve_stream_system
 
 NEWTON = SolverConfig(nu=1.0, lam=1.0, method="newton")
@@ -142,12 +141,6 @@ class TestNewtonStep:
         c = hist[1] / hist[0] ** 2
         assert hist[2] <= 50.0 * c * hist[1] ** 2
 
-    def test_singular_error_carries_parameters(self):
-        err = NewtonSingularError(0.75, -2.0)
-        assert err.lam == 0.75
-        assert err.flux == -2.0
-        assert "0.75" in str(err)
-
 
 class TestSolve:
     def test_source_flow_exact(self, grid):
@@ -242,7 +235,7 @@ class TestSolve:
         assert abs(flux_inner(report.u) - trace.flux) < 1e-10
         assert weak_residual(grid, report.w, report.u - report.w, NEWTON) < 1e-9
 
-    def test_newton_fallback_on_singular_jacobian(self, grid, spiral_setting, monkeypatch):
+    def test_singular_newton_step_ends_solve_at_start(self, grid, spiral_setting, monkeypatch):
         # a singular Newton step is not applied: the solve ends unconverged
         # with a finite report of its start
         trace = spiral_setting[0]
@@ -252,7 +245,7 @@ class TestSolve:
         def flaky(self, res):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise NewtonSingularError(self.cfg.lam, self.flux)
+                raise _NewtonSingularError
             return original(self, res)
 
         monkeypatch.setattr(_Problem, "newton_update", flaky)
@@ -477,7 +470,7 @@ class TestNewtonKrylov:
         assert 1 <= report.iterations <= 5
         assert report.steps == [{"kind": "krylov", "gmres_iterations": 1}] * report.iterations
 
-    def test_nonfinite_preconditioner_input_falls_back_to_picard(self, grid, monkeypatch):
+    def test_nonfinite_preconditioner_input_ends_solve_at_start(self, grid, monkeypatch):
         # the preconditioner's block solves do not check their input: a NaN
         # in the Jacobian product comes out of them and is caught as a
         # singular step, which ends the solve at its finite start
@@ -490,7 +483,7 @@ class TestNewtonKrylov:
 
         monkeypatch.setattr(_Problem, "jacobian", poisoned)
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
-        with pytest.raises(NewtonSingularError):
+        with pytest.raises(_NewtonSingularError):
             problem.newton_update(problem.residual(psi, omega))
         report = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], replace(NEWTON, max_iter=2))
         assert not report.converged and report.steps == []

@@ -4,9 +4,10 @@ The solver's steps run only inside ``solve`` and ``sweep``, and the pressure
 has one solver, the least-squares Neumann solve; the package exports no
 second way into either.  The boundary datum has one extension, the Stokes
 solution: ``stokes_solve`` returns its velocity, and the Stokes pressure
-comes from ``solve`` at lambda = 0.  No linter runs on the sources, so an
-``ast`` walk checks that every module-level import of the package and of its
-tests is used by its own module.
+comes from ``solve`` at lambda = 0.  No linter runs on the sources, so
+``ast`` walks check that every module-level import of the package and of its
+tests is used by its own module, and that every module-level private name of
+the package is read by its own module or imported by another one.
 """
 
 import ast
@@ -41,13 +42,13 @@ def test_public_names():
     # the submodules imported while the package loads stay out of it
     assert sorted(annulus_flux.__all__) == [
         "AmickProfile", "BoundaryTrace", "ContinuationTrace", "DiagnosticsRecord",
-        "NewtonSingularError", "PolarGrid", "ScalarField", "SolveReport", "SolverConfig",
+        "PolarGrid", "ScalarField", "SolveReport", "SolverConfig",
         "StokesSolution", "SweepPoint", "VelocityField", "amick_flow", "amick_pressure_drop",
         "bernoulli_deviation", "boundary_pressures", "build_grid", "couette",
         "couette_trace", "curl", "curl_of_stream", "diagnostics_for_fields",
         "diagnostics_for_solution", "dirichlet_norm", "divergence", "euler_residual",
         "flux_carrier", "flux_inner", "fourier_trace", "head_pressure",
-        "identity_37", "identity_energy", "integrate", "make_profile", "make_trace",
+        "identity_37", "identity_energy", "integrate", "make_trace",
         "max_principle_check", "normalize",
         "pressure_from_momentum", "pure_flux_trace", "radial_source", "read_velocity_csv",
         "solve", "spiral_flow", "spiral_trace", "stokes_solve", "stream_function",
@@ -78,3 +79,31 @@ def test_every_module_import_is_used(path):
     tree = ast.parse(MODULES[path].read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """Private (``_x``) names bound at module level by ``tree``, dunders aside."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    # read in its own module, or imported from it by another package module
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imported = set()
+    for other in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(other.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == path.stem:
+                imported.update(alias.name for alias in node.names)
+    assert sorted(private_names(tree) - read - imported) == []

@@ -247,7 +247,7 @@ def test_solve_blocks_matches_lu_solve_per_block(grid):
                 assert np.array_equal(got[k], lu_solve((lu[k], piv[k]), b[k]))
 
 
-def test_factor_blocks_matches_lu_factor_per_block(grid):
+def test_block_factors_match_lu_factor_per_block(grid):
     tr = couette_trace(1.0, 0.0) + fourier_trace(
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
     problem = _Problem.from_trace(grid, tr, SolverConfig())
