@@ -14,8 +14,8 @@ i.e. c_0 is the mean (imaginary part ignored) and c_k = a_k - i b_k for the
 cos/sin pair at harmonic k >= 1.
 
 The solenoidal extension of a datum is its Stokes solution (see the stokes
-module), built from the two pieces here: the flux carrier and the clamped
-stream data of the zero-flux remainder.
+module), built from two pieces: the flux carrier here and the clamped stream
+data of the zero-flux remainder, which ``stokes.StreamBC.from_trace`` builds.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class BoundaryTrace:
 
     def zero_flux_remainder(self) -> "BoundaryTrace":
         """Subtract the trace of the flux carrier so both per-circle fluxes vanish."""
-        return self + _carrier_trace(-self.flux, self.r_inner, self.r_outer)
+        return self + pure_flux_trace(-self.flux, self.r_inner, self.r_outer)
 
     def trace_norm_proxy(self) -> float:
         """Discrete H^(1/2)-weighted Fourier norm, sum (1+|k|)|c_k|^2 over all data."""
@@ -153,17 +153,14 @@ class BoundaryTrace:
 # -- presets ---------------------------------------------------------------------
 
 
-def _carrier_trace(flux: float, r_inner: float, r_outer: float) -> BoundaryTrace:
+def pure_flux_trace(flux: float, r_inner: float = 1.0, r_outer: float = 2.0) -> BoundaryTrace:
+    """Trace of the flux carrier u_F = -(flux/2 pi r) e_r."""
+    flux, r_inner, r_outer = float(flux), float(r_inner), float(r_outer)
     return BoundaryTrace(
         r_inner, r_outer,
         normal_outer={0: -flux / (2.0 * np.pi * r_outer)},
         normal_inner={0: flux / (2.0 * np.pi * r_inner)},
     )
-
-
-def pure_flux_trace(flux: float, r_inner: float = 1.0, r_outer: float = 2.0) -> BoundaryTrace:
-    """Trace of the flux carrier u_F = -(flux/2 pi r) e_r."""
-    return _carrier_trace(float(flux), float(r_inner), float(r_outer))
 
 
 def couette_trace(omega1: float, omega2: float,
@@ -176,16 +173,32 @@ def couette_trace(omega1: float, omega2: float,
     )
 
 
+def _spiral_swirl(flux: float, amplitude: float, nu: float, r_inner: float, r):
+    """(c, swirl at the radii ``r``) of the spiral u_r = c/r, u_theta = A/r + B r^(1+c/nu).
+
+    c = -flux/(2 pi) and B = ``amplitude``; A is fixed so the swirl vanishes
+    on the inner circle.  Raises ValueError at the exponent collision
+    c/nu = -2, where both branches are 1/r and the swirl cancels to zero.
+    """
+    c = -flux / (2.0 * np.pi)
+    if abs(c / nu + 2.0) < 1e-12:
+        raise ValueError(
+            "spiral exponent collision at c/nu = -2: the swirl needs the "
+            "unsupported logarithmic branch"
+        )
+    beta = 1.0 + c / nu
+    big_a = -amplitude * r_inner ** (beta + 1.0)
+    return c, big_a / r + amplitude * r**beta
+
+
 def spiral_trace(flux: float, amplitude: float, nu: float,
                  r_inner: float = 1.0, r_outer: float = 2.0) -> BoundaryTrace:
     """Trace of the Hamel-type spiral flow u_r = c/r, u_theta = A/r + B r^(1+c/nu).
 
     c = -flux/(2 pi); A is fixed so the swirl vanishes on the inner circle.
+    Raises ValueError at the exponent collision c/nu = -2.
     """
-    c = -flux / (2.0 * np.pi)
-    beta = 1.0 + c / nu
-    big_a = -amplitude * r_inner ** (beta + 1.0)
-    swirl_outer = big_a / r_outer + amplitude * r_outer**beta
+    c, swirl_outer = _spiral_swirl(flux, amplitude, nu, r_inner, r_outer)
     return BoundaryTrace(
         float(r_inner), float(r_outer),
         normal_outer={0: c / r_outer},
@@ -258,7 +271,7 @@ def make_trace(spec: Mapping) -> BoundaryTrace:
                          *(_parse_coefficients(spec.get(name)) for name in keys["fourier"]))
 
 
-# -- carrier and stream data -------------------------------------------------------
+# -- carrier -----------------------------------------------------------------------
 
 
 def flux_carrier(grid: PolarGrid, flux: float) -> VelocityField:
@@ -271,36 +284,3 @@ def flux_carrier(grid: PolarGrid, flux: float) -> VelocityField:
     u_r = -flux / (2.0 * np.pi * grid.rr)
     return VelocityField.from_arrays(grid, u_r, np.zeros_like(u_r))
 
-
-def boundary_stream_data(grid: PolarGrid, trace: BoundaryTrace):
-    """Clamped stream-function data of the zero-flux remainder of ``trace``.
-
-    Returns four nodal arrays (psi_outer, dpsi_outer, psi_inner, dpsi_inner)
-    on the angular nodes: the single-valued boundary values of psi (zero
-    angular mean on each circle) and the radial derivatives d psi / d r.
-
-    Raises if the trace carries harmonics the grid cannot represent.
-    """
-    if not np.isclose(grid.r_inner, trace.r_inner) or not np.isclose(grid.r_outer, trace.r_outer):
-        raise ValueError("trace and grid radii differ")
-    if trace.max_harmonic >= grid.n_theta // 2:
-        raise ValueError(
-            f"trace harmonic {trace.max_harmonic} is not resolved by n_theta={grid.n_theta}"
-        )
-    rem = trace.zero_flux_remainder()
-    theta = grid.theta
-    psi_bnd = {}
-    for side, radius in (("outer", grid.r_outer), ("inner", grid.r_inner)):
-        # d psi / d theta = r a_r; integrate the harmonics explicitly
-        values = np.zeros_like(theta)
-        for k, c in (rem.normal_outer if side == "outer" else rem.normal_inner).items():
-            a_r = c if side == "outer" else -c
-            if k == 0:
-                continue  # zero-flux remainder: no mean radial component
-            # antiderivative of Re(a_r e^{ik th}) is Re(a_r e^{ik th} / (ik))
-            coef = a_r / (1j * k)
-            values += radius * (coef.real * np.cos(k * theta) - coef.imag * np.sin(k * theta))
-        psi_bnd[side] = values
-    dpsi_outer = -rem.angular_values("outer", theta)
-    dpsi_inner = -rem.angular_values("inner", theta)
-    return psi_bnd["outer"], dpsi_outer, psi_bnd["inner"], dpsi_inner

@@ -34,7 +34,7 @@ from .boundary import BoundaryTrace, make_trace
 from .diagnostics import diagnostics_for_fields
 from .fields import read_velocity_csv, write_scalar_csv, write_velocity_csv
 from .grid import PolarGrid, build_grid
-from .navier_stokes import ContinuationTrace, SolverConfig, solve, sweep
+from .navier_stokes import ContinuationTrace, SolverConfig, _check_sweep, solve, sweep
 from .stokes import pressure_from_momentum
 from .verify import format_table, run_checks
 
@@ -133,16 +133,17 @@ class RunConfig:
         if "sweep" in raw:
             wspec = section("sweep", ("parameter", "values"))
             sweep_parameter = wspec.get("parameter")
-            if sweep_parameter not in ("lambda", "flux"):
-                raise ConfigError("sweep.parameter must be 'lambda' or 'flux'")
             values = wspec.get("values")
             if not isinstance(values, list) or not values:
                 raise ConfigError("sweep.values must be a non-empty list")
             try:
                 sweep_values = [float(v) for v in values]
+                _check_sweep(sweep_parameter, sweep_values)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep.values: {exc}") from exc
-            _check_sweep_values(sweep_parameter, sweep_values)
+            if sweep_parameter == "flux" and not all(abs(v) <= DATA_BOUND for v in sweep_values):
+                raise ConfigError(f"sweep.values: a flux exceeds {DATA_BOUND:.3e}, "
+                                  "beyond which the solve overflows")
 
         ospec = section("output", ("directory", "formats"), {})
         out_dir = str(ospec.get("directory", "."))
@@ -167,23 +168,6 @@ def _integer(name: str, spec: dict, key: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name}: {key} must be an integer, got {value!r}")
     return value
-
-
-def _check_sweep_values(parameter: str, values: list[float]) -> None:
-    """Raise ConfigError unless ``values`` are finite, strictly monotone and in range.
-
-    lambda must lie in [0, 1]; a flux must not exceed DATA_BOUND in size.
-    """
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"sweep.values must be finite, got {values}")
-    if parameter == "lambda" and not all(0.0 <= v <= 1.0 for v in values):
-        raise ConfigError(f"sweep.values of lambda must lie in [0, 1], got {values}")
-    if parameter == "flux" and not all(abs(v) <= DATA_BOUND for v in values):
-        raise ConfigError(f"sweep.values: a flux exceeds {DATA_BOUND:.3e}, "
-                          "beyond which the solve overflows")
-    steps = [b - a for a, b in zip(values, values[1:])]
-    if not (all(d > 0 for d in steps) or all(d < 0 for d in steps)):
-        raise ConfigError(f"sweep.values must be strictly monotone, got {values}")
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -299,11 +283,11 @@ def cmd_diagnose(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load fields: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if args.nu < 0 or not 0.0 <= args.lam <= 1.0:
-        print("diagnose requires nu >= 0 and 0 <= lambda <= 1", file=sys.stderr)
+    if not (math.isfinite(args.nu) and args.nu >= 0) or not 0.0 <= args.lam <= 1.0:
+        print("diagnose requires a finite nu >= 0 and 0 <= lambda <= 1", file=sys.stderr)
         return EXIT_BAD_CONFIG
     grid = u.grid
-    p = pressure_from_momentum(grid, u, args.lam, args.nu)
+    p, _ = pressure_from_momentum(grid, u, args.lam, args.nu)
     try:
         record = diagnostics_for_fields(grid, u, p, args.lam, args.nu)
     except ValueError as exc:

@@ -330,10 +330,8 @@ def diagnostics_for_solution(grid: PolarGrid, u: VelocityField, p: ScalarField,
     degenerate to zero candidates.
     """
     flux = flux_inner(u)
-    j = dirichlet_norm(w)
-    if j > 1e-12:
-        w_hat = (1.0 / j) * w
-        p_hat = ScalarField(grid, p.values / j**2)
+    if dirichlet_norm(w) > 1e-12:
+        w_hat, p_hat, _ = normalize(w, p)
     else:
         w_hat = VelocityField.zeros(grid)
         p_hat = ScalarField.zeros(grid)

@@ -16,7 +16,10 @@ per-mode blocks is made.  Its builder assembles a block, and
 :func:`solve_blocks` LU-factors it, the first time a right-hand side is not
 exactly zero in its mode; a block no solve reaches is never assembled.  For
 axisymmetric data the FFT leaves every mode k >= 1 exactly zero on most
-grids, and then one block is assembled and factored.
+grids, and then one block is assembled and factored.  Every modal solve of
+the package, the stream and Neumann systems and the Newton preconditioner,
+goes through :func:`solve_modes`, which packs rfft coefficients onto the
+stack; only this module calls :func:`solve_blocks`.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ class PolarGrid:
         Omega_1 (disk bounded by Gamma_1) and Omega_2 (hole).
     mode_laplacians : (n_modes, n_r, n_r) stack of Lap_k.
     stream_lu, neumann_lu : :class:`BlockFactors` of the per-mode
-        systems, for :func:`solve_blocks`.
+        systems, for :func:`solve_modes`.
     """
 
     n_r: int
@@ -404,6 +407,27 @@ def solve_blocks(factors: BlockFactors, rhs: np.ndarray) -> np.ndarray:
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of getrs")
     return out
+
+
+def solve_modes(factors: BlockFactors, coef: np.ndarray) -> np.ndarray:
+    """Solve each mode's block of ``factors`` for rfft coefficients ``coef``, (..., rows, n_modes).
+
+    A real stack solves the real and imaginary parts as two columns, a
+    complex stack one complex column.  The result has the layout of ``coef``,
+    C-ordered: ``from_modes`` returns a transposed view's values in that
+    view's order, and BLAS products such as the one in :func:`integrate`
+    round differently on it.  Raises ValueError if ``coef`` is not finite,
+    or as :func:`solve_blocks`.
+    """
+    if not np.all(np.isfinite(coef)):
+        raise ValueError("modal right-hand side contains infs or NaNs")
+    rhs = coef.reshape(-1, coef.shape[-1]).T
+    if np.iscomplexobj(factors.lu):
+        sol = solve_blocks(factors, rhs)
+    else:
+        sol = solve_blocks(factors, np.stack([rhs.real, rhs.imag], axis=-1))
+        sol = sol[..., 0] + 1j * sol[..., 1]
+    return np.ascontiguousarray(sol.T).reshape(coef.shape)
 
 
 def integrate(grid: PolarGrid, f) -> float:

@@ -54,6 +54,7 @@ blown-up step ends the iteration unconverged at the last finite iterate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -70,7 +71,7 @@ from .fields import (
     scalar_laplacian,
     trilinear,
 )
-from .grid import BlockFactors, PolarGrid, solve_blocks
+from .grid import BlockFactors, PolarGrid, solve_modes
 from .stokes import StreamBC, pressure_from_momentum, solve_stream_system
 from .testspace import ClampedFamily
 
@@ -106,14 +107,14 @@ class SolverConfig:
     damping: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"viscosity must be finite and positive, got {self.nu}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("homotopy parameter must lie in [0, 1]")
         if self.method not in ("picard", "newton"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
@@ -217,9 +218,7 @@ class _Problem:
         return cls(grid, cfg, trace.flux, StreamBC.from_trace(grid, trace))
 
     def velocity(self, psi: ScalarField) -> VelocityField:
-        g = self.grid
-        u_r = self.carrier.u_r.values + psi.d_theta / g.rr
-        return VelocityField.from_arrays(g, u_r, -psi.d_r)
+        return self.carrier + curl_of_stream(psi)
 
     def convection_of_vorticity(self, u: VelocityField, omega: ScalarField) -> np.ndarray:
         return u.u_r.values * omega.d_r + u.u_theta.values * omega.d_theta / self.grid.rr
@@ -339,12 +338,10 @@ class _Problem:
 
         Raises _NewtonSingularError on a non-finite block factor or step.
         """
-        g = self.grid
         try:
-            sol = solve_blocks(factors, res.transpose(2, 0, 1).reshape(g.n_modes, 2 * g.n_r))
+            step = self.grid.from_modes(solve_modes(factors, res))
         except ValueError as exc:
             raise _NewtonSingularError from exc
-        step = g.from_modes(sol.reshape(g.n_modes, 2, g.n_r).transpose(1, 2, 0))
         if not np.all(np.isfinite(step)):
             raise _NewtonSingularError
         return step
@@ -550,7 +547,7 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     problem = _Problem.from_trace(grid, trace, cfg)
     sol = _iterate(problem, problem.bc.stokes_state(grid), warm_start)
     u, psi = sol.u, sol.psi
-    p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu, full_output=True)
+    p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu)
     psi_zero_flux = ScalarField(grid, psi - psi[-1, 0])
     diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, sol.u_stokes, sol.w,
                                     psi=psi_zero_flux)
@@ -583,15 +580,10 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     On a failed point one bisection level is attempted (solve the midpoint,
     then retry); if the point still fails it is recorded as diverged and
     the sweep continues from the last converged state.
+    The parameter and the values are checked before any point is solved.
     """
     values = [float(v) for v in values]
-    if len(values) >= 2:
-        diffs = np.diff(values)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("sweep values must be strictly monotone")
-    if parameter not in ("lambda", "flux"):
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
-
+    _check_sweep(parameter, values)
     remainder = trace.zero_flux_remainder()
     bc = StreamBC.from_trace(grid, trace)
     stokes_state = bc.stokes_state(grid)
@@ -622,6 +614,22 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
             warm = (sol.psi, sol.omega)
             last_value = value
     return ContinuationTrace(parameter=parameter, points=points)
+
+
+def _check_sweep(parameter: str, values: list[float]) -> None:
+    """Raise ValueError unless ``parameter`` is known and ``values`` can be swept.
+
+    Values must be finite, strictly monotone and, for lambda, in [0, 1].
+    """
+    if parameter not in ("lambda", "flux"):
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"sweep values must be finite, got {values}")
+    if parameter == "lambda" and not all(0.0 <= v <= 1.0 for v in values):
+        raise ValueError(f"sweep values of lambda must lie in [0, 1], got {values}")
+    steps = np.diff(values)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ValueError(f"sweep values must be strictly monotone, got {values}")
 
 
 # -- weak-form checks ---------------------------------------------------------------

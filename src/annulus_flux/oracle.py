@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import flux_carrier
+from .boundary import _spiral_swirl, flux_carrier
 from .fields import ScalarField, VelocityField
 from .grid import PolarGrid, chebyshev_diff_matrix, clenshaw_curtis_weights, integrate
 
@@ -79,23 +79,14 @@ def spiral_flow(grid: PolarGrid, flux: float, amplitude: float,
     branch degenerating onto 1/r) would need a logarithmic branch and is
     rejected.
     """
-    c = -flux / (2.0 * np.pi)
-    if abs(c / nu + 2.0) < 1e-12:
-        raise ValueError(
-            "spiral exponent collision at c/nu = -2: the swirl needs the "
-            "unsupported logarithmic branch"
-        )
-    beta = 1.0 + c / nu
-    big_a = -amplitude * grid.r_inner ** (beta + 1.0)
-    r_line = grid.r
-    swirl_line = big_a / r_line + amplitude * r_line**beta
+    c, swirl_line = _spiral_swirl(flux, amplitude, nu, grid.r_inner, grid.r)
     u = VelocityField.from_arrays(
         grid,
         c / grid.rr,
         np.broadcast_to(swirl_line[:, None], grid.rr.shape).copy(),
     )
     # radial momentum: dp/dr = c^2/r^3 + u_theta^2/r
-    p_line = grid.radial_antiderivative(c**2 / r_line**3 + swirl_line**2 / r_line)
+    p_line = grid.radial_antiderivative(c**2 / grid.r**3 + swirl_line**2 / grid.r)
     p = _mean_zero(grid, np.broadcast_to(p_line[:, None], grid.rr.shape).copy())
     return u, ScalarField(grid, p)
 

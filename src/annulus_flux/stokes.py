@@ -8,9 +8,9 @@ The Stokes solution is the solenoidal extension of the boundary datum, and
 Everything here reduces to independent boundary-value problems in r, one per
 angular Fourier mode: dense collocation matrices with boundary rows replaced.
 The grid holds each family as one lazy stack of per-mode blocks and their LU
-factors; a solve builds the stack of modal right-hand sides and applies the
-factors with one ``solve_blocks`` call, which assembles and factors a block
-the first time a right-hand side reaches its mode and skips modes whose
+factors; a solve builds its modal right-hand sides and hands them to the
+grid's one modal solve, ``grid.solve_modes``, which assembles and factors a
+block the first time a right-hand side reaches its mode and skips modes whose
 right-hand side is exactly zero.  An axisymmetric datum whose modes k >= 1
 come out of the FFT exactly zero thus assembles, factors and solves mode 0
 only.  The Stokes state depends only on the clamped stream data
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryTrace, boundary_stream_data, flux_carrier
+from .boundary import BoundaryTrace, flux_carrier
 from .fields import (
     ScalarField,
     VelocityField,
@@ -59,7 +59,7 @@ from .fields import (
     vector_laplacian,
     velocity_l2_norm,
 )
-from .grid import PolarGrid, integrate, solve_blocks
+from .grid import PolarGrid, integrate, solve_modes
 
 @dataclass(frozen=True)
 class StreamBC:
@@ -72,8 +72,27 @@ class StreamBC:
 
     @classmethod
     def from_trace(cls, grid: PolarGrid, trace: BoundaryTrace) -> "StreamBC":
-        psi_o, dpsi_o, psi_i, dpsi_i = boundary_stream_data(grid, trace)
-        return cls(psi_o, dpsi_o, psi_i, dpsi_i)
+        """Data of the zero-flux remainder of ``trace``: single-valued psi, d psi/dr = -a_theta.
+
+        Raises ValueError if the radii differ from the grid's or the grid
+        cannot resolve the trace's harmonics.
+        """
+        if not np.allclose((grid.r_inner, grid.r_outer), (trace.r_inner, trace.r_outer)):
+            raise ValueError("trace and grid radii differ")
+        if trace.max_harmonic >= grid.n_theta // 2:
+            raise ValueError(f"trace harmonic {trace.max_harmonic} is not resolved by "
+                             f"n_theta={grid.n_theta}")
+        rem, theta = trace.zero_flux_remainder(), grid.theta
+        psi = {"outer": np.zeros_like(theta), "inner": np.zeros_like(theta)}
+        for side, radius in (("outer", grid.r_outer), ("inner", grid.r_inner)):
+            # d psi/d theta = r a_r, and a_r has no mean in the remainder; the
+            # antiderivative of Re(a e^{ik th}) is Re(a e^{ik th} / (ik))
+            for k, c in getattr(rem, f"normal_{side}").items():
+                if k:
+                    a = (c if side == "outer" else -c) / (1j * k)
+                    psi[side] += radius * (a.real * np.cos(k * theta) - a.imag * np.sin(k * theta))
+        return cls(psi["outer"], -rem.angular_values("outer", theta),
+                   psi["inner"], -rem.angular_values("inner", theta))
 
     def stokes_rhs(self, grid: PolarGrid) -> np.ndarray:
         """Stokes right-hand side for :func:`solve_stream_system`: these data, zero elsewhere."""
@@ -100,9 +119,8 @@ def solve_stream_system(grid: PolarGrid, rhs: np.ndarray) -> tuple[np.ndarray, n
     side-condition datum d omega/dr(r_outer) times n_theta.  Raises
     ValueError if ``rhs`` is not finite.
     """
-    n = grid.n_r
-    coef = _solve_modal(grid.stream_lu, rhs.reshape(2 * n, grid.n_modes))
-    return grid.from_modes(coef[:n]), grid.from_modes(coef[n:])
+    coef = solve_modes(grid.stream_lu, rhs)
+    return grid.from_modes(coef[0]), grid.from_modes(coef[1])
 
 
 # -- Stokes problem -----------------------------------------------------------------
@@ -144,34 +162,16 @@ def stokes_solve(grid: PolarGrid, trace: BoundaryTrace) -> StokesSolution:
 # -- pressure -----------------------------------------------------------------------
 
 
-def _solve_modal(factors, rhs_modes: np.ndarray) -> np.ndarray:
-    """Modal coefficients (rows, n_modes) solving each mode's factored system.
-
-    The result is C-contiguous: ``from_modes`` rounds differently on a
-    transposed view.
-
-    Raises
-    ------
-    ValueError
-        If the right-hand side is not finite.
-    """
-    rhs = np.stack([rhs_modes.real.T, rhs_modes.imag.T], axis=-1)
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("modal right-hand side contains infs or NaNs")
-    sol = solve_blocks(factors, rhs)
-    return np.ascontiguousarray((sol[..., 0] + 1j * sol[..., 1]).T)
-
-
-def pressure_from_momentum(grid: PolarGrid, u: VelocityField, lam: float, nu: float,
-                           full_output: bool = False):
-    """Least-squares pressure for the momentum balance of ``u``.
+def pressure_from_momentum(grid: PolarGrid, u: VelocityField, lam: float,
+                           nu: float) -> tuple[ScalarField, dict]:
+    """Least-squares pressure for the momentum balance of ``u``, with its fit.
 
     Minimizes the L2 mismatch between grad(p) and the momentum gradient
     field G = nu Lap(u) - lam (u.grad)u, i.e. solves the Neumann problem
-    Lap p = div G with dp/dn = G.n, then removes the mean.  With
-    ``full_output`` also returns a dict with the curl residual of G (zero
-    for an exact solution; a large value flags that u solves nothing) and
-    the L2 gradient mismatch.
+    Lap p = div G with dp/dn = G.n, then removes the mean.  Returns the
+    pressure and a dict with the curl residual of G (zero for an exact
+    solution; a large value flags that u solves nothing) and the L2
+    gradient mismatch.
     """
     lap_u = vector_laplacian(u)
     conv = advect(u, u)
@@ -183,11 +183,9 @@ def pressure_from_momentum(grid: PolarGrid, u: VelocityField, lam: float, nu: fl
     rhs_modes[0, :] = g_r_modes[0, :]
     rhs_modes[-1, :] = g_r_modes[-1, :]
     rhs_modes[grid.n_r // 2, 0] = 0.0
-    values = grid.from_modes(_solve_modal(grid.neumann_lu, rhs_modes))
+    values = grid.from_modes(solve_modes(grid.neumann_lu, rhs_modes))
     values = values - integrate(grid, values) / grid.area
     pressure = ScalarField(grid, values)
-    if not full_output:
-        return pressure
     grad_p = gradient(pressure)
     mismatch = velocity_l2_norm(grad_p - g_field)
     info = {

@@ -168,7 +168,7 @@ def run_checks(n_r: int = 32, n_theta: int = 64) -> list[CheckResult]:
 
     psi_bad = ScalarField.from_function(grid, lambda r, t: -r**2 * np.sin(t) / 2.0)
     u_bad = curl_of_stream(psi_bad)
-    p_bad = pressure_from_momentum(grid, u_bad, 1.0, 1.0)
+    p_bad, _ = pressure_from_momentum(grid, u_bad, 1.0, 1.0)
     checks.append(CheckResult("bernoulli_counter_case",
                               bernoulli_deviation(head_pressure(u_bad, p_bad, 1.0), psi_bad),
                               0.1, ">="))

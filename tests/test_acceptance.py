@@ -186,7 +186,7 @@ def test_bernoulli(grid, suite_solves, amick_pair):
         head_pressure(spiral_rep.u, spiral_rep.p, 1.0), psi_spiral)
     psi_bad = ScalarField.from_function(grid, lambda r, t: -r**2 * np.sin(t) / 2)
     u_bad = curl_of_stream(psi_bad)
-    p_bad = pressure_from_momentum(grid, u_bad, 1.0, 1.0)
+    p_bad, _ = pressure_from_momentum(grid, u_bad, 1.0, 1.0)
     dev_bad = bernoulli_deviation(head_pressure(u_bad, p_bad, 1.0), psi_bad)
     ok = max(radial) < 1e-8 and dev_spiral <= 1e-6 and dev_bad > 0.1
     report("bernoulli", ok,

@@ -15,8 +15,8 @@ from annulus_flux import (
     spiral_trace,
     stokes_solve,
 )
-from annulus_flux.boundary import boundary_stream_data
 from annulus_flux.fields import l2_norm, velocity_l2_norm
+from annulus_flux.stokes import StreamBC
 
 
 def test_pure_flux_preset_values():
@@ -141,13 +141,19 @@ def test_extension_ratio_bounded_over_presets(grid):
     assert max(ratios) < 1e3
 
 
+def test_spiral_trace_rejects_exponent_collision():
+    # c/nu = -2: the swirl A/r + B r^(1 + c/nu) would cancel to zero
+    with pytest.raises(ValueError, match="collision"):
+        spiral_trace(4.0 * np.pi, 1.0, 1.0)
+
+
 def test_stream_data_rejects_unresolved_harmonics():
     from annulus_flux import build_grid
 
     g = build_grid(16, 8, 1.0, 2.0)
     tr = fourier_trace(1.0, 2.0, angular_outer={6: 1.0})
     with pytest.raises(ValueError, match="not resolved"):
-        boundary_stream_data(g, tr)
+        StreamBC.from_trace(g, tr)
 
 
 def test_trace_algebra_radii_mismatch():

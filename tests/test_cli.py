@@ -154,6 +154,30 @@ class TestSolve:
         assert "boundary" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_spiral_exponent_collision_rejected(self, tmp_path, capsys):
+        # at c/nu = -2 the swirl A/r + B r^(1 + c/nu) cancels to zero, so the
+        # datum would silently lose its swirl and report J = 0
+        cfg = write_config(tmp_path, {
+            "boundary": {"preset": "spiral", "flux": 4.0 * np.pi, "amplitude": 1.0, "nu": 1.0},
+        })
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "collision" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"nu": float("inf")}, {"nu": float("nan")},
+        {"solver": {"tol": float("inf")}}, {"solver": {"tol": float("nan")}},
+    ])
+    def test_non_finite_solver_settings_rejected(self, tmp_path, capsys, overrides):
+        # an infinite viscosity died in a traceback (exit 1); a NaN tolerance
+        # can never be met (exit 2)
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "solver" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_report_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"])
@@ -332,6 +356,19 @@ class TestDiagnose:
         dump = tmp_path / "z.csv"
         write_velocity_csv(dump, VelocityField.zeros(grid))
         assert main(["diagnose", str(dump), "--lambda", "2.0", "--nu", "1.0"]) == 3
+
+    @pytest.mark.parametrize("nu", ["inf", "nan"])
+    def test_non_finite_viscosity_rejected(self, tmp_path, nu):
+        # both died in a traceback (exit 1) in the pressure solve
+        grid = build_grid(16, 8, 1.0, 2.0)
+        from annulus_flux import couette
+
+        dump = tmp_path / "c.csv"
+        write_velocity_csv(dump, couette(grid, 1.0, 0.0)[0])
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(dump), "--lambda", "1.0", "--nu", nu,
+                     "--out", str(out), "--quiet"]) == 3
+        assert not (out / "diagnostics.json").exists()
 
     def test_non_solenoidal_field_rejected(self, tmp_path, capsys):
         # no stream function exists, so there is no Bernoulli value to report

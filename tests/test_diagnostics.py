@@ -212,7 +212,7 @@ class TestBernoulli:
         psi = ScalarField.from_function(fine_grid, lambda r, t: -r**2 * np.sin(t) / 2)
         u = curl_of_stream(psi)
         assert np.max(np.abs(u.u_theta.values - fine_grid.rr * np.sin(fine_grid.tt))) < 1e-12
-        p = pressure_from_momentum(fine_grid, u, 1.0, 1.0)
+        p, _ = pressure_from_momentum(fine_grid, u, 1.0, 1.0)
         phi = head_pressure(u, p, 1.0)
         assert bernoulli_deviation(phi, psi) > 0.1
 

@@ -35,6 +35,7 @@ from annulus_flux import (
     weak_residual,
 )
 from annulus_flux.fields import scalar_laplacian, velocity_l2_norm
+from annulus_flux import grid as grid_module
 from annulus_flux import navier_stokes
 from annulus_flux.grid import BlockFactors
 from annulus_flux.navier_stokes import _NewtonSingularError, _Problem, energy_cancellation
@@ -56,6 +57,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"nu": 0.0}, {"lam": -0.1}, {"lam": 1.5}, {"method": "gauss"},
         {"tol": 0.0}, {"max_iter": 0}, {"damping": 0.0}, {"damping": 1.5},
+        {"nu": float("inf")}, {"nu": float("nan")}, {"tol": float("inf")},
+        {"tol": float("nan")},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -297,6 +300,18 @@ class TestSweep:
     def test_unknown_parameter(self, grid):
         with pytest.raises(ValueError, match="parameter"):
             sweep(grid, spiral_trace(1.0, 1.0, 1.0), NEWTON, "reynolds", [1.0])
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, 1.0, 1.5], r"\[0, 1\]"), ([0.5, float("nan")], "finite")])
+    def test_values_checked_before_any_point(self, grid, monkeypatch, values, message):
+        # a lambda past 1 was refused by SolverConfig only at its own point,
+        # after the points before it had been solved
+        def no_iterate(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(navier_stokes, "_iterate", no_iterate)
+        with pytest.raises(ValueError, match=message):
+            sweep(grid, spiral_trace(1.0, 1.0, 1.0), NEWTON, "lambda", values)
 
     def test_failure_recorded_with_bisection(self, grid):
         # starving the solver of iterations forces failures; the trace must
@@ -568,7 +583,7 @@ class TestNewtonKrylov:
             return np.stack([lu_solve(lu_factor(block), b) for block, b in zip(blocks, rhs)])
 
         with monkeypatch.context() as m:
-            m.setattr(navier_stokes, "solve_blocks", reference_solve)
+            m.setattr(grid_module, "solve_blocks", reference_solve)
             want = problem.newton_update(res)
         made, built = [], []
         full_build = problem.modal_jacobian

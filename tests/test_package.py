@@ -7,7 +7,8 @@ solution: ``stokes_solve`` returns its velocity, and the Stokes pressure
 comes from ``solve`` at lambda = 0.  No linter runs on the sources, so
 ``ast`` walks check that every module-level import of the package and of its
 tests is used by its own module, and that every module-level private name of
-the package is read by its own module or imported by another one.
+the package is read by its own module or imported by another one, and that
+only the grid applies its per-mode factors.
 """
 
 import ast
@@ -107,3 +108,18 @@ def test_every_private_name_is_used(path):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == path.stem:
                 imported.update(alias.name for alias in node.names)
     assert sorted(private_names(tree) - read - imported) == []
+
+
+def test_only_the_grid_applies_block_factors():
+    # every modal solve packs its right-hand side through grid.solve_modes
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    users = sorted(path.name for path in PACKAGE.glob("*.py") if "solve_blocks" in names(path))
+    assert users == ["grid.py"]

@@ -96,7 +96,7 @@ def test_pressure_from_momentum_recovers_amick_pressure(grid, fine_grid):
         for profile in (AmickProfile.sin_squared(), AmickProfile.poly_bump(4)):
             w, p_exact = amick_flow(g, profile)
             exact = p_exact.values - integrate(g, p_exact.values) / g.area
-            p = pressure_from_momentum(g, w, 1.0, 0.0)
+            p, _ = pressure_from_momentum(g, w, 1.0, 0.0)
             assert np.max(np.abs(p.values - exact)) < 1e-8
 
 
@@ -105,7 +105,7 @@ def test_pressure_from_momentum_carrier(grid):
     # p = -F^2/(8 pi^2 r^2) + const
     flux = 2 * np.pi
     u = flux_carrier(grid, flux)
-    p = pressure_from_momentum(grid, u, lam=1.0, nu=1.0)
+    p, _ = pressure_from_momentum(grid, u, lam=1.0, nu=1.0)
     exact = -(flux**2) / (8 * np.pi**2 * grid.rr**2)
     exact -= integrate(grid, exact) / grid.area
     assert np.max(np.abs(p.values - exact)) < 1e-9
@@ -113,14 +113,14 @@ def test_pressure_from_momentum_carrier(grid):
 
 def test_pressure_from_momentum_couette(grid):
     u = couette_field(grid, 1.0, 0.0)
-    p = pressure_from_momentum(grid, u, lam=1.0, nu=1.0)
+    p, _ = pressure_from_momentum(grid, u, lam=1.0, nu=1.0)
     # radial momentum: dp/dr = u_theta^2 / r
     dp = grid.diff_r(p.values)
     assert np.max(np.abs(dp - u.u_theta.values**2 / grid.rr)) < 1e-9
 
 
 def test_pressure_from_momentum_zero(grid):
-    p = pressure_from_momentum(grid, VelocityField.zeros(grid), 1.0, 1.0)
+    p, _ = pressure_from_momentum(grid, VelocityField.zeros(grid), 1.0, 1.0)
     assert np.max(np.abs(p.values)) < 1e-14
 
 
@@ -129,11 +129,10 @@ def test_pressure_from_momentum_flags_non_solution(grid):
     from annulus_flux.fields import curl_of_stream
 
     u = curl_of_stream(psi)
-    _, info = pressure_from_momentum(grid, u, 1.0, 1.0, full_output=True)
+    _, info = pressure_from_momentum(grid, u, 1.0, 1.0)
     assert info["curl_residual"] > 1.0  # nowhere near a gradient field
     # while exact solutions have a tiny mismatch
-    _, info_good = pressure_from_momentum(grid, couette_field(grid, 1.0, 0.0),
-                                          1.0, 1.0, full_output=True)
+    _, info_good = pressure_from_momentum(grid, couette_field(grid, 1.0, 0.0), 1.0, 1.0)
     assert info_good["gradient_mismatch"] < 1e-9
 
 
