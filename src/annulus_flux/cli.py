@@ -11,8 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 non-convergence (the report
 is still written), 3 invalid configuration or input.  Reports are written
 deterministically (sorted keys, repr floats); wall-clock metadata, with the
-seconds spent solving and writing, goes to a separate run_meta.json so
-repeated runs of the same configuration produce byte-identical reports.
+seconds spent solving and writing, goes to a separate run_meta.json.  Repeated
+runs of the same configuration repeat every output byte for byte only at a
+fixed BLAS thread count and array layout: the trailing digits of every output
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -115,7 +118,7 @@ class RunConfig:
             raise ConfigError(f"boundary: data of size {size:.3e} exceed {DATA_BOUND:.3e}, "
                               "beyond which the pressure overflows")
 
-        sspec = section("solver", ("lambda", "method", "tol", "max_iter", "damping"), {})
+        sspec = section("solver", ("lambda", "method", "tol", "max_iter"), {})
         try:
             solver = SolverConfig(
                 nu=float(raw.get("nu", 1.0)),
@@ -123,7 +126,6 @@ class RunConfig:
                 method=str(sspec.get("method", "newton")),
                 tol=float(sspec.get("tol", 1e-10)),
                 max_iter=_integer("solver", sspec, "max_iter", 200),
-                damping=float(sspec.get("damping", 1.0)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver: {exc}") from exc
@@ -178,9 +180,9 @@ def _dump_json(path: Path, payload: dict) -> None:
 def _platform() -> dict:
     """The BLAS build, the ``*_NUM_THREADS`` variables and the CPU count, read once.
 
-    The BLAS build is numpy's, from ``numpy.show_config``.  The thread count
-    can change GMRES iteration counts near the cap, so a report is reproduced
-    only with this configuration.
+    The BLAS build is numpy's, from ``numpy.show_config``.  The trailing
+    digits of every output depend on the BLAS thread count, so outputs repeat
+    byte for byte only at a fixed thread count and array layout.
     """
     build = np.show_config(mode="dicts")["Build Dependencies"]
     return {
@@ -204,24 +206,37 @@ def _write_meta(out: Path, command: str, phases: dict[str, float] | None = None)
     _dump_json(out / "run_meta.json", meta)
 
 
-def cmd_solve(args) -> int:
-    try:
-        config = RunConfig.load(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def _run(args, command: str, run: Callable, write: Callable):
+    """Load ``args.config``; time ``run(config)``, then ``write(config, out, result)``.
+
+    Returns (config, out, result); run_meta.json records the two phases.
+    Raises ConfigError before the output directory ``out`` is made.
+    """
+    config = RunConfig.load(args.config)
+    if command == "sweep" and config.sweep_parameter is None:
+        raise ConfigError("sweep command requires a 'sweep' config section")
     out = Path(args.out or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    report = solve(config.grid, config.trace, config.solver)
-    solved = time.perf_counter()
+    result = run(config)
+    done = time.perf_counter()
+    write(config, out, result)
+    _write_meta(out, command, {f"{command}_s": done - start,
+                               "write_s": time.perf_counter() - done})
+    return config, out, result
+
+
+def _write_solve(config: RunConfig, out: Path, report) -> None:
     if "json" in config.formats:
         _dump_json(out / "report.json", report.to_dict())
     if "csv" in config.formats:
         write_velocity_csv(out / "fields.csv", report.u)
         write_scalar_csv(out / "pressure.csv", report.p)
-    _write_meta(out, "solve", {"solve_s": solved - start,
-                               "write_s": time.perf_counter() - solved})
+
+
+def cmd_solve(args) -> int:
+    _, out, report = _run(args, "solve", lambda c: solve(c.grid, c.trace, c.solver),
+                          _write_solve)
     if not args.quiet:
         state = "converged" if report.converged else "NOT converged"
         print(f"solve {state} in {report.iterations} iterations: "
@@ -238,22 +253,10 @@ def _trace_csv(path: Path, trace: ContinuationTrace) -> None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = RunConfig.load(args.config)
-        if config.sweep_parameter is None:
-            raise ConfigError("sweep command requires a 'sweep' config section")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    out = Path(args.out or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    trace = sweep(config.grid, config.trace, config.solver,
-                  config.sweep_parameter, config.sweep_values)
-    swept = time.perf_counter()
-    _trace_csv(out / "trace.csv", trace)
-    _write_meta(out, "sweep", {"sweep_s": swept - start,
-                               "write_s": time.perf_counter() - swept})
+    config, _, trace = _run(
+        args, "sweep",
+        lambda c: sweep(c.grid, c.trace, c.solver, c.sweep_parameter, c.sweep_values),
+        lambda _, out, trace: _trace_csv(out / "trace.csv", trace))
     if not args.quiet:
         for pt in trace.points:
             flag = "ok" if pt.converged else "DIVERGED"
@@ -348,7 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

@@ -88,17 +88,17 @@ class MaxPrincipleResult(NamedTuple):
     scale: float
 
 
-def max_principle_check(phi: ScalarField, rel_tol: float = 1e-8) -> MaxPrincipleResult:
+def max_principle_check(phi: ScalarField) -> MaxPrincipleResult:
     """One-sided maximum principle: interior sup against the boundary sup.
 
     margin = sup_interior(phi) - max(sup_Gamma1, sup_Gamma2); the check
-    passes iff margin <= rel_tol * scale with scale = max(1, sup|phi|).
+    passes iff margin <= 1e-8 * scale with scale = max(1, sup|phi|).
     """
     interior = float(phi.values[1:-1, :].max())
     bnd = max(float(phi.values[0, :].max()), float(phi.values[-1, :].max()))
     margin = interior - bnd
     scale = max(1.0, float(np.max(np.abs(phi.values))))
-    return MaxPrincipleResult(margin <= rel_tol * scale, margin, scale)
+    return MaxPrincipleResult(margin <= 1e-8 * scale, margin, scale)
 
 
 # -- Bernoulli law ------------------------------------------------------------------
@@ -290,11 +290,9 @@ class DiagnosticsRecord:
 
 def _assemble(grid: PolarGrid, u: VelocityField, p: ScalarField, lam: float, nu: float,
               candidate_w: VelocityField, candidate_p: ScalarField,
-              u_ext: VelocityField, flux: float, psi: ScalarField | None) -> DiagnosticsRecord:
+              u_ext: VelocityField, flux: float, psi: ScalarField) -> DiagnosticsRecord:
     phi = head_pressure(u, p, lam)
     mp = max_principle_check(phi)
-    if psi is None:
-        psi = stream_function(u - flux_carrier(grid, flux), flux_tol=1e-8, div_tol=1e-6)
     bern = bernoulli_deviation(phi, psi)
 
     cp1, cp2, _ = boundary_pressures(candidate_p)
@@ -320,12 +318,13 @@ def _assemble(grid: PolarGrid, u: VelocityField, p: ScalarField, lam: float, nu:
 
 def diagnostics_for_solution(grid: PolarGrid, u: VelocityField, p: ScalarField,
                              lam: float, nu: float, u_stokes: VelocityField,
-                             w: VelocityField, psi: ScalarField | None = None) -> DiagnosticsRecord:
+                             w: VelocityField, psi: ScalarField) -> DiagnosticsRecord:
     """Record for a converged solve: identities evaluated on the normalized pair.
 
-    The head pressure, maximum principle, Bernoulli spread and boundary
-    pressures refer to the physical fields (u, p); the identity and Euler
-    entries refer to the blow-up pair (w/J, p/J^2), which is where the
+    The head pressure, maximum principle, Bernoulli spread (on the level
+    sets of ``psi``, the stream function of the zero-flux part of ``u``) and
+    boundary pressures refer to the physical fields (u, p); the identity and
+    Euler entries refer to the blow-up pair (w/J, p/J^2), which is where the
     argument uses them.  For flows with J ~ 0 the normalized entries
     degenerate to zero candidates.
     """
@@ -350,4 +349,6 @@ def diagnostics_for_fields(grid: PolarGrid, u: VelocityField, p: ScalarField,
     """
     flux = flux_inner(u)
     carrier = flux_carrier(grid, flux)
-    return _assemble(grid, u, p, lam, nu, u - carrier, p, carrier, flux, None)
+    w = u - carrier
+    psi = stream_function(w, flux_tol=1e-8, div_tol=1e-6)
+    return _assemble(grid, u, p, lam, nu, w, p, carrier, flux, psi)

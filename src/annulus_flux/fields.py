@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import PolarGrid, integrate
+from .grid import PolarGrid, build_grid, integrate
 
 
 @dataclass(frozen=True)
@@ -123,20 +123,15 @@ class VelocityField:
         return cls.from_arrays(grid, z, z)
 
     def __add__(self, other: "VelocityField") -> "VelocityField":
-        _check_same_grid(self, other)
-        return VelocityField._adopt(
-            self.grid,
-            self.u_r.values + other.u_r.values,
-            self.u_theta.values + other.u_theta.values,
-        )
+        return self._componentwise(np.add, other)
 
     def __sub__(self, other: "VelocityField") -> "VelocityField":
+        return self._componentwise(np.subtract, other)
+
+    def _componentwise(self, op: Callable, other: "VelocityField") -> "VelocityField":
         _check_same_grid(self, other)
-        return VelocityField._adopt(
-            self.grid,
-            self.u_r.values - other.u_r.values,
-            self.u_theta.values - other.u_theta.values,
-        )
+        return VelocityField._adopt(self.grid, op(self.u_r.values, other.u_r.values),
+                                    op(self.u_theta.values, other.u_theta.values))
 
     def __mul__(self, c: float) -> "VelocityField":
         return VelocityField._adopt(
@@ -212,16 +207,21 @@ def vector_laplacian(u: VelocityField) -> VelocityField:
 def advect(v: VelocityField, u: VelocityField) -> VelocityField:
     """Convective derivative (v . grad) u with the polar metric terms."""
     _check_same_grid(v, u)
-    g = u.grid
-    r = g.rr
-    vr, vt = v.u_r.values, v.u_theta.values
+    return VelocityField._adopt(u.grid, _convect(v, u.u_r, -u.u_theta.values),
+                                _convect(v, u.u_theta, u.u_r.values))
 
-    def directional(f: ScalarField) -> np.ndarray:
-        return vr * f.d_r + vt * f.d_theta / r
 
-    comp_r = directional(u.u_r) - vt * u.u_theta.values / r
-    comp_t = directional(u.u_theta) + vt * u.u_r.values / r
-    return VelocityField._adopt(g, comp_r, comp_t)
+def _convect(v: VelocityField, f: ScalarField, metric: np.ndarray | None = None) -> np.ndarray:
+    """Nodal v . grad f, plus the metric term v_theta metric / r if ``metric`` is given.
+
+    The polar components of (v . grad) u are ``_convect(v, u_r, -u_theta)``
+    and ``_convect(v, u_theta, u_r)``; the solver's residual and Jacobian
+    read the same operations, so they round as :func:`advect` does.
+    """
+    r = v.grid.rr
+    vt = v.u_theta.values
+    out = v.u_r.values * f.d_r + vt * f.d_theta / r
+    return out if metric is None else out + vt * metric / r
 
 
 # -- integral quantities -----------------------------------------------------------
@@ -357,11 +357,10 @@ def _write_nodal_csv(path, grid: PolarGrid, header, columns) -> None:
 def read_velocity_csv(path) -> VelocityField:
     """Rebuild a velocity field (and its grid) from :func:`write_velocity_csv` output.
 
-    The node pattern must match a Chebyshev/Fourier grid; this is checked
-    against a freshly built grid to 1e-12.
+    Every row's (r, theta) must be the node of a freshly built
+    Chebyshev/Fourier grid in the writer's order, outer ring first, to 1e-12
+    (r relative to max(1, r_outer)).
     """
-    from .grid import build_grid  # local import to keep module load light
-
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -372,24 +371,12 @@ def read_velocity_csv(path) -> VelocityField:
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError("malformed velocity CSV")
     r_vals = np.unique(data[:, 0])
-    th_vals = np.unique(data[:, 1])
-    n_r, n_theta = len(r_vals), len(th_vals)
+    n_r, n_theta = len(r_vals), len(np.unique(data[:, 1]))
     if n_r * n_theta != data.shape[0]:
         raise ValueError("CSV does not contain a full tensor grid")
     grid = build_grid(n_r, n_theta, r_vals[0], r_vals[-1])
-    scale = max(abs(grid.r_outer), 1.0)
-    if np.max(np.abs(np.sort(grid.r) - r_vals)) > 1e-12 * scale:
-        raise ValueError("radial nodes are not Chebyshev-Gauss-Lobatto points")
-    if np.max(np.abs(np.sort(grid.theta) - th_vals)) > 1e-12:
-        raise ValueError("angular nodes are not equispaced on [0, 2*pi)")
-    # rows were written radially outer-first in the grid's own ordering
-    u_r = data[:, 2].reshape(n_r, n_theta)
-    u_t = data[:, 3].reshape(n_r, n_theta)
-    r_col = data[:, 0].reshape(n_r, n_theta)[:, 0]
-    if not np.allclose(r_col, grid.r, rtol=0, atol=1e-12 * scale):
-        # accept dumps written with increasing radius by flipping
-        if np.allclose(r_col[::-1], grid.r, rtol=0, atol=1e-12 * scale):
-            u_r, u_t = u_r[::-1], u_t[::-1]
-        else:
-            raise ValueError("radial ordering of the CSV is inconsistent")
-    return VelocityField.from_arrays(grid, u_r, u_t)
+    if (np.max(np.abs(data[:, 0] - grid.rr.ravel())) > 1e-12 * max(abs(grid.r_outer), 1.0)
+            or np.max(np.abs(data[:, 1] - grid.tt.ravel())) > 1e-12):
+        raise ValueError("rows are not the nodes of a Chebyshev/Fourier grid in writer order")
+    return VelocityField.from_arrays(grid, data[:, 2].reshape(n_r, n_theta),
+                                     data[:, 3].reshape(n_r, n_theta))

@@ -65,6 +65,7 @@ from .diagnostics import DiagnosticsRecord, boundary_pressures, diagnostics_for_
 from .fields import (
     ScalarField,
     VelocityField,
+    _convect,
     _gradient_frame,
     curl_of_stream,
     dirichlet_norm,
@@ -95,8 +96,7 @@ class SolverConfig:
     ``lam`` is the homotopy parameter in [0, 1] multiplying the convective
     terms; ``tol`` bounds the relative Dirichlet norm of the last update,
     and 0.1 ``tol`` the residual after it relative to the size of its terms
-    (either ends the iteration); ``damping`` relaxes the update
-    (1 = undamped).
+    (either ends the iteration).  Every step is applied undamped.
     """
 
     nu: float = 1.0
@@ -104,7 +104,6 @@ class SolverConfig:
     method: str = "newton"
     tol: float = 1e-10
     max_iter: int = 200
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nu) and self.nu > 0):
@@ -117,8 +116,6 @@ class SolverConfig:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -220,16 +217,6 @@ class _Problem:
     def velocity(self, psi: ScalarField) -> VelocityField:
         return self.carrier + curl_of_stream(psi)
 
-    def convection_of_vorticity(self, u: VelocityField, omega: ScalarField) -> np.ndarray:
-        return u.u_r.values * omega.d_r + u.u_theta.values * omega.d_theta / self.grid.rr
-
-    def swirl_momentum(self, v: VelocityField, w: VelocityField) -> np.ndarray:
-        """Nodal theta component of (v.grad)w; (u.grad)u enters the pressure side condition."""
-        rr = self.grid.rr
-        vr, vt = v.u_r.values, v.u_theta.values
-        wt = w.u_theta
-        return vr * wt.d_r + vt * wt.d_theta / rr + vt * w.u_r.values / rr
-
     def update_norm(self, dpsi: np.ndarray) -> float:
         return dirichlet_norm(curl_of_stream(ScalarField(self.grid, dpsi)))
 
@@ -252,15 +239,16 @@ class _Problem:
         lap_omega = scalar_laplacian(omega_f).values
         rows = np.empty((2, g.n_r, g.n_theta))
         rows[0] = scalar_laplacian(psi_f).values + omega
-        rows[1] = lap_omega - self.ratio * self.convection_of_vorticity(u, omega_f)
+        rows[1] = lap_omega - self.ratio * _convect(u, omega_f)
         dpsi = psi_f.d_r
         rows[0, 0] = dpsi[0, :] - bc.dpsi_outer
         rows[0, -1] = dpsi[-1, :] - bc.dpsi_inner
         value_outer = psi[0, :] - bc.psi_outer
         rows[1, 0] = value_outer - value_outer.mean()
         rows[1, -1] = psi[-1, :] - bc.psi_inner
+        # the theta component of (u.grad)u enters the pressure side condition
         side = float(omega_f.d_r[0, :].mean()
-                     - self.ratio * self.swirl_momentum(u, u)[0, :].mean())
+                     - self.ratio * _convect(u, u.u_theta, u.u_r.values)[0, :].mean())
         modes = self._modal(rows, side)
         return _Residual(modes, u, omega_f, float(np.linalg.norm(modes)),
                          _modal_norm(omega, lap_omega))
@@ -286,13 +274,13 @@ class _Problem:
         rows = np.empty_like(step)
         rows[0] = scalar_laplacian(dpsi).values + domega.values
         rows[1] = scalar_laplacian(domega).values - self.ratio * (
-            self.convection_of_vorticity(du, omega) + self.convection_of_vorticity(u, domega))
+            _convect(du, omega) + _convect(u, domega))
         slope = dpsi.d_r
         rows[0, 0] = slope[0, :]
         rows[0, -1] = slope[-1, :]
         rows[1, 0] = dpsi.values[0, :]
         rows[1, -1] = dpsi.values[-1, :]
-        d_swirl = self.swirl_momentum(du, u) + self.swirl_momentum(u, du)
+        d_swirl = _convect(du, u.u_theta, u.u_r.values) + _convect(u, du.u_theta, du.u_r.values)
         side = float(domega.d_r[0, :].mean() - self.ratio * d_swirl[0, :].mean())
         return self._modal(rows, side)
 
@@ -469,7 +457,7 @@ class _Solution(NamedTuple):
 
 
 def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
-             warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> _Solution:
+             warm_start: tuple[np.ndarray, np.ndarray] | None) -> _Solution:
     """Run the configured iteration from the Stokes state or ``warm_start``; measure J.
 
     ``stokes_state`` is ``problem.bc.stokes_state(problem.grid)``, which
@@ -516,8 +504,8 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
         defect = problem.update_norm(dpsi) / scale
         history.append(defect)
         steps.append(step)
-        psi = psi + cfg.damping * dpsi
-        omega = omega + cfg.damping * domega
+        psi = psi + dpsi
+        omega = omega + domega
         if defect < cfg.tol:
             converged = True
             break
@@ -548,9 +536,8 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     sol = _iterate(problem, problem.bc.stokes_state(grid), warm_start)
     u, psi = sol.u, sol.psi
     p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu)
-    psi_zero_flux = ScalarField(grid, psi - psi[-1, 0])
     diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, sol.u_stokes, sol.w,
-                                    psi=psi_zero_flux)
+                                    ScalarField(grid, psi - psi[-1, 0]))
     return SolveReport(
         u=u, w=sol.w, p=p, J=sol.J, flux=trace.flux, lam=cfg.lam, nu=cfg.nu,
         iterations=len(sol.history), converged=sol.converged,
@@ -598,7 +585,7 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
             # the flux of the swept datum, which rounding can set apart from value
             flux = (remainder + pure_flux_trace(value, grid.r_inner, grid.r_outer)).flux
             problem = _Problem(grid, cfg, flux, bc)
-        return _iterate(problem, stokes_state, warm_start=start)
+        return _iterate(problem, stokes_state, start)
 
     for value in values:
         sol = run(value, warm)
@@ -636,11 +623,13 @@ def _check_sweep(parameter: str, values: list[float]) -> None:
 
 
 def weak_residual(grid: PolarGrid, w: VelocityField, u_aux: VelocityField,
-                  cfg: SolverConfig, n_radial: int = 4, n_angular: int = 3) -> float:
-    """Worst normalized defect of the homotopy weak form over a test family.
+                  cfg: SolverConfig) -> float:
+    """Worst normalized defect of the homotopy weak form over a fixed test family.
 
-    For each divergence-free zero-trace test field eta of the clamped family
-    (:class:`~annulus_flux.testspace.ClampedFamily`) the quantity
+    The family is the clamped one (:class:`~annulus_flux.testspace.ClampedFamily`)
+    with radial profiles P_m for m < 4 and angular factors 1, cos(n theta)
+    and sin(n theta) for n <= 3 (and n < n_theta / 2).  For each of its
+    divergence-free zero-trace test fields eta the quantity
 
         nu int grad(w):grad(eta) - lambda [ int ((w+U).grad)eta . w
             + int (w.grad)eta . U + int (U.grad)eta . U ]
@@ -653,15 +642,8 @@ def weak_residual(grid: PolarGrid, w: VelocityField, u_aux: VelocityField,
         W = nu frame(w) - lambda (V_r V_r, V_theta V_r, V_r V_theta, V_theta V_theta),
 
     contracted with the separated frames of the whole family at once.
-
-    Raises
-    ------
-    ValueError
-        If ``n_radial`` < 1: an empty family would test nothing and pass.
     """
-    if n_radial < 1:
-        raise ValueError(f"need n_radial >= 1 to test anything, got {n_radial}")
-    family = ClampedFamily(grid, n_radial, n_angular)
+    family = ClampedFamily(grid, 4, 3)
     v_r = w.u_r.values + u_aux.u_r.values
     v_t = w.u_theta.values + u_aux.u_theta.values
     cross = cfg.lam * (v_r * v_t)

@@ -46,17 +46,19 @@ def _mean_zero(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
     return values - integrate(grid, values) / grid.area
 
 
+def _every_angle(grid: PolarGrid, line: np.ndarray) -> np.ndarray:
+    """A radial profile repeated at every angle: a copy, as BLAS rounds differently on a view."""
+    return np.broadcast_to(line[:, None], grid.rr.shape).copy()
+
+
 def couette(grid: PolarGrid, omega1: float, omega2: float) -> tuple[VelocityField, ScalarField]:
     """Exact Couette flow for rim angular velocities (omega1 outer, omega2 inner)."""
     a, b = couette_constants(omega1, omega2, grid.r_inner, grid.r_outer)
-    r = grid.rr
-    u_theta = a * r + b / r
-    u = VelocityField.from_arrays(grid, np.zeros_like(r), u_theta)
+    swirl_line = a * grid.r + b / grid.r
+    u = VelocityField.from_arrays(grid, np.zeros_like(grid.rr), _every_angle(grid, swirl_line))
     # dp/dr = u_theta^2 / r, integrated spectrally, mean zero
-    g0 = a * grid.r + b / grid.r
-    p_line = grid.radial_antiderivative(g0**2 / grid.r)
-    p = _mean_zero(grid, np.broadcast_to(p_line[:, None], r.shape).copy())
-    return u, ScalarField(grid, p)
+    p_line = grid.radial_antiderivative(swirl_line**2 / grid.r)
+    return u, ScalarField(grid, _mean_zero(grid, _every_angle(grid, p_line)))
 
 
 def radial_source(grid: PolarGrid, flux: float) -> tuple[VelocityField, ScalarField]:
@@ -80,15 +82,10 @@ def spiral_flow(grid: PolarGrid, flux: float, amplitude: float,
     rejected.
     """
     c, swirl_line = _spiral_swirl(flux, amplitude, nu, grid.r_inner, grid.r)
-    u = VelocityField.from_arrays(
-        grid,
-        c / grid.rr,
-        np.broadcast_to(swirl_line[:, None], grid.rr.shape).copy(),
-    )
+    u = VelocityField.from_arrays(grid, c / grid.rr, _every_angle(grid, swirl_line))
     # radial momentum: dp/dr = c^2/r^3 + u_theta^2/r
     p_line = grid.radial_antiderivative(c**2 / grid.r**3 + swirl_line**2 / grid.r)
-    p = _mean_zero(grid, np.broadcast_to(p_line[:, None], grid.rr.shape).copy())
-    return u, ScalarField(grid, p)
+    return u, ScalarField(grid, _mean_zero(grid, _every_angle(grid, p_line)))
 
 
 # -- rotational Euler flow ----------------------------------------------------------
@@ -167,14 +164,9 @@ def amick_flow(grid: PolarGrid, profile: AmickProfile) -> tuple[VelocityField, S
     tol = 1e-12 * max(1.0, float(np.max(np.abs(f_line))))
     if abs(f_line[0]) > tol or abs(f_line[-1]) > tol:
         raise ValueError("profile does not vanish at the boundary circles")
-    w = VelocityField.from_arrays(
-        grid,
-        np.zeros_like(grid.rr),
-        np.broadcast_to(f_line[:, None], grid.rr.shape).copy(),
-    )
+    w = VelocityField.from_arrays(grid, np.zeros_like(grid.rr), _every_angle(grid, f_line))
     p_line = profile.lambda0 * grid.radial_antiderivative(f_line**2 / grid.r)
-    p = np.broadcast_to(p_line[:, None], grid.rr.shape).copy()
-    return w, ScalarField(grid, p)
+    return w, ScalarField(grid, _every_angle(grid, p_line))
 
 
 _DROP_RULE_POINTS = 257

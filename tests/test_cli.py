@@ -112,6 +112,7 @@ class TestSolve:
         ("grid", "n_thetta"),
         ("boundary", "omega_1"),
         ("solver", "lamda"),
+        ("solver", "damping"),
         ("sweep", "value"),
         ("output", "dir"),
     ])
@@ -344,6 +345,27 @@ class TestDiagnose:
         bad = tmp_path / "bad.csv"
         bad.write_text("r,theta,surprise\n1,0,2\n")
         assert main(["diagnose", str(bad), "--lambda", "1.0", "--nu", "1.0"]) == 3
+
+    @pytest.mark.parametrize("reorder", ["swap_nodes", "inner_ring_first"])
+    def test_rows_out_of_writer_order_rejected(self, tmp_path, capsys, reorder):
+        # both used to read back without an error: the swap moved u_theta by
+        # 0.36 here, and inner-ring-first rows were flipped
+        grid = build_grid(16, 8, 1.0, 2.0)
+        from annulus_flux import couette
+
+        dump = tmp_path / "c.csv"
+        write_velocity_csv(dump, couette(grid, 1.0, 0.0)[0])
+        header, *rows = dump.read_text().splitlines()
+        if reorder == "swap_nodes":  # theta index 3 of rings 2 and 5
+            rows[2 * 8 + 3], rows[5 * 8 + 3] = rows[5 * 8 + 3], rows[2 * 8 + 3]
+        else:
+            rows = [row for i in reversed(range(16)) for row in rows[8 * i:8 * i + 8]]
+        dump.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(dump), "--lambda", "1.0", "--nu", "1.0",
+                     "--out", str(out), "--quiet"]) == 3
+        assert "writer order" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["diagnose", str(tmp_path / "nope.csv"),

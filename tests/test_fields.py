@@ -374,12 +374,6 @@ def test_clamped_family_frames_match_explicit_fields(shape):
     assert np.allclose(family.dirichlet_norms().ravel(), norms, rtol=1e-12, atol=0.0)
 
 
-def test_weak_residual_rejects_empty_family(grid):
-    w, u_aux, cfg = _weak_residual_inputs(grid)
-    with pytest.raises(ValueError, match="n_radial"):
-        weak_residual(grid, w, u_aux, cfg, n_radial=0)
-
-
 def test_weak_residual_peak_memory_at_64x128():
     # the per-field loop peaked at 1.52 MiB here
     g = build_grid(64, 128, 1.0, 2.0)

@@ -1,4 +1,4 @@
-"""Package surface: the public names, and no unused imports in the modules.
+"""Package surface: the public names and options, and no unused imports in the modules.
 
 The solver's steps run only inside ``solve`` and ``sweep``, and the pressure
 has one solver, the least-squares Neumann solve; the package exports no
@@ -55,6 +55,31 @@ def test_public_names():
         "solve", "spiral_flow", "spiral_trace", "stokes_solve", "stream_function",
         "sweep", "weak_residual", "write_scalar_csv", "write_velocity_csv",
     ]
+
+
+def test_public_options():
+    # every parameter with a default of the public callables, pinned as the
+    # names are above: an option comes back only by changing this table
+    options = {}
+    for name in annulus_flux.__all__:
+        parameters = inspect.signature(getattr(annulus_flux, name)).parameters.values()
+        optional = [p.name for p in parameters if p.default is not inspect.Parameter.empty]
+        if optional:
+            options[name] = optional
+    assert options == {
+        "AmickProfile": ["lambda0", "r_inner", "r_outer"],
+        "BoundaryTrace": ["normal_outer", "angular_outer", "normal_inner", "angular_inner"],
+        "ContinuationTrace": ["points"],
+        "SolverConfig": ["nu", "lam", "method", "tol", "max_iter"],
+        "bernoulli_deviation": ["n_levels", "critical_rel", "full_output"],
+        "couette_trace": ["r_inner", "r_outer"],
+        "fourier_trace": ["normal_outer", "angular_outer", "normal_inner", "angular_inner"],
+        "pure_flux_trace": ["r_inner", "r_outer"],
+        "solve": ["warm_start"],
+        "spiral_trace": ["r_inner", "r_outer"],
+        "stream_function": ["flux_tol", "div_tol"],
+    }
+    assert sum(map(len, options.values())) == 29
 
 
 def test_stokes_entry_points():
