@@ -58,7 +58,7 @@ class TestSolverConfig:
         {"nu": 0.0}, {"lam": -0.1}, {"lam": 1.5}, {"method": "gauss"},
         {"tol": 0.0}, {"max_iter": 0},
         {"nu": float("inf")}, {"nu": float("nan")}, {"tol": float("inf")},
-        {"tol": float("nan")},
+        {"tol": float("nan")}, {"lam": float("nan")}, {"nu": -1.0},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
