@@ -15,7 +15,6 @@ from .boundary import (
     BoundaryTrace,
     couette_trace,
     flux_carrier,
-    fourier_trace,
     make_trace,
     pure_flux_trace,
     spiral_trace,

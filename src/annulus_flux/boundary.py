@@ -208,16 +208,6 @@ def spiral_trace(flux: float, amplitude: float, nu: float,
     )
 
 
-def fourier_trace(r_inner: float, r_outer: float,
-                  normal_outer: Coefficients | None = None,
-                  angular_outer: Coefficients | None = None,
-                  normal_inner: Coefficients | None = None,
-                  angular_inner: Coefficients | None = None) -> BoundaryTrace:
-    """Trace from explicit harmonic coefficient tables; admissibility is checked."""
-    return BoundaryTrace(float(r_inner), float(r_outer),
-                         normal_outer, angular_outer, normal_inner, angular_inner)
-
-
 def _parse_coefficients(raw) -> dict[int, complex]:
     """The harmonic table of a ``fourier`` block (None: empty); ValueError if malformed."""
     if raw is None:
@@ -267,7 +257,7 @@ def make_trace(spec: Mapping) -> BoundaryTrace:
     if preset == "spiral":
         return spiral_trace(float(spec["flux"]), float(spec.get("amplitude", 1.0)),
                             float(spec.get("nu", 1.0)), r_inner, r_outer)
-    return fourier_trace(r_inner, r_outer,
+    return BoundaryTrace(r_inner, r_outer,
                          *(_parse_coefficients(spec.get(name)) for name in keys["fourier"]))
 
 

@@ -65,7 +65,6 @@ class RunConfig:
     sweep_parameter: str | None
     sweep_values: list[float] | None
     out_dir: str
-    formats: list[str]
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -147,14 +146,9 @@ class RunConfig:
                 raise ConfigError(f"sweep.values: a flux exceeds {DATA_BOUND:.3e}, "
                                   "beyond which the solve overflows")
 
-        ospec = section("output", ("directory", "formats"), {})
-        out_dir = str(ospec.get("directory", "."))
-        formats = ospec.get("formats", ["json", "csv"])
-        if not isinstance(formats, list) or not all(f in ("json", "csv") for f in formats):
-            raise ConfigError("output.formats entries must be 'json' or 'csv'")
+        out_dir = str(section("output", ("directory",), {}).get("directory", "."))
         return cls(grid=grid, trace=trace, solver=solver,
-                   sweep_parameter=sweep_parameter, sweep_values=sweep_values,
-                   out_dir=out_dir, formats=list(formats))
+                   sweep_parameter=sweep_parameter, sweep_values=sweep_values, out_dir=out_dir)
 
 
 def _check_keys(name: str, spec: dict, keys: tuple[str, ...]) -> None:
@@ -207,7 +201,7 @@ def _write_meta(out: Path, command: str, phases: dict[str, float] | None = None)
 
 
 def _run(args, command: str, run: Callable, write: Callable):
-    """Load ``args.config``; time ``run(config)``, then ``write(config, out, result)``.
+    """Load ``args.config``; time ``run(config)``, then ``write(out, result)``.
 
     Returns (config, out, result); run_meta.json records the two phases.
     Raises ConfigError before the output directory ``out`` is made.
@@ -220,18 +214,16 @@ def _run(args, command: str, run: Callable, write: Callable):
     start = time.perf_counter()
     result = run(config)
     done = time.perf_counter()
-    write(config, out, result)
+    write(out, result)
     _write_meta(out, command, {f"{command}_s": done - start,
                                "write_s": time.perf_counter() - done})
     return config, out, result
 
 
-def _write_solve(config: RunConfig, out: Path, report) -> None:
-    if "json" in config.formats:
-        _dump_json(out / "report.json", report.to_dict())
-    if "csv" in config.formats:
-        write_velocity_csv(out / "fields.csv", report.u)
-        write_scalar_csv(out / "pressure.csv", report.p)
+def _write_solve(out: Path, report) -> None:
+    _dump_json(out / "report.json", report.to_dict())
+    write_velocity_csv(out / "fields.csv", report.u)
+    write_scalar_csv(out / "pressure.csv", report.p)
 
 
 def cmd_solve(args) -> int:
@@ -256,7 +248,7 @@ def cmd_sweep(args) -> int:
     config, _, trace = _run(
         args, "sweep",
         lambda c: sweep(c.grid, c.trace, c.solver, c.sweep_parameter, c.sweep_values),
-        lambda _, out, trace: _trace_csv(out / "trace.csv", trace))
+        lambda out, trace: _trace_csv(out / "trace.csv", trace))
     if not args.quiet:
         for pt in trace.points:
             flag = "ok" if pt.converged else "DIVERGED"
@@ -290,8 +282,8 @@ def cmd_diagnose(args) -> int:
         print("diagnose requires a finite nu >= 0 and 0 <= lambda <= 1", file=sys.stderr)
         return EXIT_BAD_CONFIG
     grid = u.grid
-    p, _ = pressure_from_momentum(grid, u, args.lam, args.nu)
     try:
+        p, _ = pressure_from_momentum(grid, u, args.lam, args.nu)
         record = diagnostics_for_fields(grid, u, p, args.lam, args.nu)
     except ValueError as exc:
         print(f"cannot diagnose fields: {exc}", file=sys.stderr)

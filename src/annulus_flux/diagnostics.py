@@ -86,6 +86,8 @@ class MaxPrincipleResult(NamedTuple):
     ok: bool
     margin: float
     scale: float
+    interior_sup: float
+    boundary_sup: float
 
 
 def max_principle_check(phi: ScalarField) -> MaxPrincipleResult:
@@ -98,7 +100,7 @@ def max_principle_check(phi: ScalarField) -> MaxPrincipleResult:
     bnd = max(float(phi.values[0, :].max()), float(phi.values[-1, :].max()))
     margin = interior - bnd
     scale = max(1.0, float(np.max(np.abs(phi.values))))
-    return MaxPrincipleResult(margin <= 1e-8 * scale, margin, scale)
+    return MaxPrincipleResult(margin <= 1e-8 * scale, margin, scale, interior, bnd)
 
 
 # -- Bernoulli law ------------------------------------------------------------------
@@ -304,8 +306,8 @@ def _assemble(grid: PolarGrid, u: VelocityField, p: ScalarField, lam: float, nu:
     p1, p2, _ = boundary_pressures(p)
     return DiagnosticsRecord(
         p1=p1, p2=p2,
-        phi_interior_sup=float(phi.values[1:-1, :].max()),
-        phi_boundary_sup=max(float(phi.values[0, :].max()), float(phi.values[-1, :].max())),
+        phi_interior_sup=mp.interior_sup,
+        phi_boundary_sup=mp.boundary_sup,
         max_principle_ok=mp.ok,
         max_principle_margin=mp.margin,
         bernoulli_deviation=bern,
@@ -318,18 +320,19 @@ def _assemble(grid: PolarGrid, u: VelocityField, p: ScalarField, lam: float, nu:
 
 def diagnostics_for_solution(grid: PolarGrid, u: VelocityField, p: ScalarField,
                              lam: float, nu: float, u_stokes: VelocityField,
-                             w: VelocityField, psi: ScalarField) -> DiagnosticsRecord:
+                             w: VelocityField, J: float, psi: ScalarField) -> DiagnosticsRecord:
     """Record for a converged solve: identities evaluated on the normalized pair.
 
     The head pressure, maximum principle, Bernoulli spread (on the level
     sets of ``psi``, the stream function of the zero-flux part of ``u``) and
     boundary pressures refer to the physical fields (u, p); the identity and
     Euler entries refer to the blow-up pair (w/J, p/J^2), which is where the
-    argument uses them.  For flows with J ~ 0 the normalized entries
-    degenerate to zero candidates.
+    argument uses them.  ``J`` is the Dirichlet norm of ``w``, as the solve
+    measured it; for flows with J ~ 0 the normalized entries degenerate to
+    zero candidates.
     """
     flux = flux_inner(u)
-    if dirichlet_norm(w) > 1e-12:
+    if J > 1e-12:
         w_hat, p_hat, _ = normalize(w, p)
     else:
         w_hat = VelocityField.zeros(grid)

@@ -25,6 +25,7 @@ stack; only this module calls :func:`solve_blocks`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -293,12 +294,15 @@ def build_grid(n_r: int, n_theta: int, r_inner: float, r_outer: float) -> PolarG
     Raises
     ------
     ValueError
-        If n_theta is odd, n_r < 8, r_inner < 1 or r_inner >= r_outer.
+        If n_theta is odd, n_r < 8, a radius is not finite, r_inner < 1 or
+        r_inner >= r_outer.
     """
     if n_theta % 2 != 0 or n_theta < 2:
         raise ValueError(f"n_theta must be a positive even integer, got {n_theta}")
     if n_r < 8:
         raise ValueError(f"n_r must be at least 8, got {n_r}")
+    if not (math.isfinite(r_inner) and math.isfinite(r_outer)):
+        raise ValueError(f"radii must be finite, got r_inner = {r_inner}, r_outer = {r_outer}")
     if r_inner < 1.0:
         raise ValueError(f"r_inner must be >= 1 (unit disk inside the hole), got {r_inner}")
     if r_inner >= r_outer:

@@ -210,10 +210,6 @@ class _Problem:
         self.carrier = flux_carrier(grid, flux)
         self.ratio = cfg.lam / cfg.nu
 
-    @classmethod
-    def from_trace(cls, grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig) -> "_Problem":
-        return cls(grid, cfg, trace.flux, StreamBC.from_trace(grid, trace))
-
     def velocity(self, psi: ScalarField) -> VelocityField:
         return self.carrier + curl_of_stream(psi)
 
@@ -252,15 +248,6 @@ class _Problem:
         modes = self._modal(rows, side)
         return _Residual(modes, u, omega_f, float(np.linalg.norm(modes)),
                          _modal_norm(omega, lap_omega))
-
-    def picard_update(self, res: _Residual) -> tuple[np.ndarray, np.ndarray]:
-        """Picard step (dpsi, domega): -F solved with the stream blocks, the lambda = 0 Jacobian.
-
-        psi + dpsi solves the Stokes-type problem with the convective terms
-        frozen at the iterate of ``res``.  Raises ValueError on a non-finite
-        residual.
-        """
-        return solve_stream_system(self.grid, -res.modes)
 
     def jacobian(self, u: VelocityField, omega: ScalarField, step: np.ndarray) -> np.ndarray:
         """J @ step at (u, omega), matrix free; ``step`` stacks nodal (dpsi, domega).
@@ -491,7 +478,8 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
         # the first step starts at psi0, where the update norm is exactly 0
         scale = 1.0 if psi is psi0 else max(1.0, problem.update_norm(psi - psi0))
         if cfg.method == "picard":
-            dpsi, domega = problem.picard_update(res)
+            # the stream blocks are the Jacobian at lambda = 0
+            dpsi, domega = solve_stream_system(grid, -res.modes)
             step = {"kind": "picard"}
         else:
             try:
@@ -532,11 +520,11 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     its pressure is the Stokes pressure.  The prescribed flux is carried
     exactly at every iterate because the carrier never enters the iteration.
     """
-    problem = _Problem.from_trace(grid, trace, cfg)
+    problem = _Problem(grid, cfg, trace.flux, StreamBC.from_trace(grid, trace))
     sol = _iterate(problem, problem.bc.stokes_state(grid), warm_start)
     u, psi = sol.u, sol.psi
     p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu)
-    diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, sol.u_stokes, sol.w,
+    diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, sol.u_stokes, sol.w, sol.J,
                                     ScalarField(grid, psi - psi[-1, 0]))
     return SolveReport(
         u=u, w=sol.w, p=p, J=sol.J, flux=trace.flux, lam=cfg.lam, nu=cfg.nu,
@@ -643,7 +631,7 @@ def weak_residual(grid: PolarGrid, w: VelocityField, u_aux: VelocityField,
 
     contracted with the separated frames of the whole family at once.
     """
-    family = ClampedFamily(grid, 4, 3)
+    family = ClampedFamily(grid)
     v_r = w.u_r.values + u_aux.u_r.values
     v_t = w.u_theta.values + u_aux.u_theta.values
     cross = cfg.lam * (v_r * v_t)

@@ -23,6 +23,9 @@ import numpy as np
 
 from .grid import PolarGrid
 
+# the family: profiles P_m for m < N_RADIAL, angular factors up to n = N_ANGULAR
+N_RADIAL, N_ANGULAR = 4, 3
+
 
 def clamped_radial_profiles(grid: PolarGrid, count: int) -> np.ndarray:
     """First ``count`` profiles (1-x^2)^2 T_m(x) on the mapped radial nodes, shape (count, n_r)."""
@@ -42,21 +45,21 @@ def angular_modes(grid: PolarGrid, n_angular: int) -> np.ndarray:
 
 
 class ClampedFamily:
-    """The test fields curl(P_m Theta_n), m < n_radial, held by their gradient frames.
+    """The test fields curl(P_m Theta_n), held by their gradient frames.
 
     ``frames`` lists, for each frame component A, B, C, D in turn, the pairs
-    (radial, angular) of arrays of shapes (n_radial, n_r) and
+    (radial, angular) of arrays of shapes (N_RADIAL, n_r) and
     (n_angular_modes, n_theta) whose outer products sum to that component:
     component X of member (m, n) is the sum over X's pairs of
     ``radial[m][:, None] * angular[n][None, :]``.
     """
 
-    def __init__(self, grid: PolarGrid, n_radial: int, n_angular: int):
+    def __init__(self, grid: PolarGrid):
         self.grid = grid
         r = grid.r[:, None]
-        p = clamped_radial_profiles(grid, n_radial).T
+        p = clamped_radial_profiles(grid, N_RADIAL).T
         dp = grid.diff_r(p)
-        theta = angular_modes(grid, n_angular)
+        theta = angular_modes(grid, N_ANGULAR)
         d_theta = grid.diff_theta(theta)
         d2_theta = grid.diff_theta(d_theta)
         self.frames = (
@@ -67,7 +70,7 @@ class ClampedFamily:
         )
 
     def integrals(self, weights) -> np.ndarray:
-        """int W_A A + W_B B + W_C C + W_D D for each member, shape (n_radial, n_angular_modes).
+        """int W_A A + W_B B + W_C C + W_D D for each member, shape (N_RADIAL, n_angular_modes).
 
         ``weights`` are the four (n_r, n_theta) arrays W_A, W_B, W_C, W_D.
         """
@@ -79,7 +82,7 @@ class ClampedFamily:
         return total * g.w_theta
 
     def dirichlet_norms(self) -> np.ndarray:
-        """Dirichlet norm of each member, shape (n_radial, n_angular_modes)."""
+        """Dirichlet norm of each member, shape (N_RADIAL, n_angular_modes)."""
         g = self.grid
         total = 0.0
         for pairs in self.frames:

@@ -62,7 +62,7 @@ def _rel_l2(u: VelocityField, exact: VelocityField) -> float:
     return velocity_l2_norm(u - exact) / denom
 
 
-def run_checks(n_r: int = 32, n_theta: int = 64) -> list[CheckResult]:
+def run_checks(n_r: int, n_theta: int) -> list[CheckResult]:
     """Run the verification table on an (n_r, n_theta) grid of the (1,2) annulus."""
     grid = build_grid(n_r, n_theta, 1.0, 2.0)
     cfg = SolverConfig(nu=1.0, lam=1.0, method="newton")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from annulus_flux import (
+    BoundaryTrace,
     couette_trace,
     curl,
     divergence,
     flux_carrier,
     flux_inner,
-    fourier_trace,
     make_trace,
     pure_flux_trace,
     spiral_trace,
@@ -39,7 +39,7 @@ def test_couette_preset_is_fluxless():
 
 def test_incompatible_fourier_data_rejected():
     with pytest.raises(ValueError, match="compatibility"):
-        fourier_trace(1.0, 2.0, normal_inner={0: 1.0 / (2 * np.pi)}, normal_outer={})
+        BoundaryTrace(1.0, 2.0, normal_inner={0: 1.0 / (2 * np.pi)}, normal_outer={})
 
 
 def test_make_trace_dispatch():
@@ -113,9 +113,9 @@ def test_extension_of_pure_flux_is_carrier(grid):
 @pytest.mark.parametrize("trace_fn", [
     lambda: couette_trace(1.0, 0.5),
     lambda: spiral_trace(1.0, 1.0, 1.0),
-    lambda: fourier_trace(1.0, 2.0,
-                          normal_outer={2: 0.3 + 0.1j}, normal_inner={2: -0.05j},
-                          angular_outer={1: 0.2}, angular_inner={0: 1.0}),
+    lambda: BoundaryTrace(1.0, 2.0,
+                           normal_outer={2: 0.3 + 0.1j}, normal_inner={2: -0.05j},
+                           angular_outer={1: 0.2}, angular_inner={0: 1.0}),
 ])
 def test_extension_attains_trace(grid, trace_fn):
     tr = trace_fn()
@@ -134,7 +134,7 @@ def test_extension_ratio_bounded_over_presets(grid):
     ratios = []
     for tr in (pure_flux_trace(1.0), couette_trace(1.0, 0.0),
                spiral_trace(1.0, 1.0, 1.0),
-               fourier_trace(1.0, 2.0, normal_outer={3: 0.2}, normal_inner={3: 0.1})):
+               BoundaryTrace(1.0, 2.0, normal_outer={3: 0.2}, normal_inner={3: 0.1})):
         ratio = stokes_solve(grid, tr).norm_ratio
         assert np.isfinite(ratio) and ratio > 0
         ratios.append(ratio)
@@ -151,7 +151,7 @@ def test_stream_data_rejects_unresolved_harmonics():
     from annulus_flux import build_grid
 
     g = build_grid(16, 8, 1.0, 2.0)
-    tr = fourier_trace(1.0, 2.0, angular_outer={6: 1.0})
+    tr = BoundaryTrace(1.0, 2.0, angular_outer={6: 1.0})
     with pytest.raises(ValueError, match="not resolved"):
         StreamBC.from_trace(g, tr)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,7 @@ class TestSolve:
         ("solver", "damping"),
         ("sweep", "value"),
         ("output", "dir"),
+        ("output", "formats"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
         # a misspelled key used to fall back to its default: the boundary
@@ -130,6 +132,17 @@ class TestSolve:
         cfg = write_config(tmp_path, overrides)
         assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["r_inner", "r_outer"])
+    def test_non_finite_radius_rejected(self, tmp_path, capsys, key):
+        # json reads NaN, which passed build_grid: a NaN r_outer was caught
+        # only by the boundary data bound, a NaN r_inner ended in a traceback
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"grid": {key: float("nan")}})
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "grid:" in err and key in err
         assert not out.exists()
 
     def test_malformed_harmonic_table_rejected(self, tmp_path, capsys):
@@ -248,6 +261,14 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
         assert "sweep.values" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
+
+
+def test_readme_configuration_example_loads():
+    # a key deleted from the config must not linger in the documented example
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("### Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config = cli.RunConfig.from_mapping(json.loads(block))
+    assert config.out_dir == "out" and config.sweep_parameter == "flux"
 
 
 def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
@@ -390,6 +411,22 @@ class TestDiagnose:
         out = tmp_path / "diag"
         assert main(["diagnose", str(dump), "--lambda", "1.0", "--nu", nu,
                      "--out", str(out), "--quiet"]) == 3
+        assert not (out / "diagnostics.json").exists()
+
+    def test_overflowing_momentum_rejected(self, tmp_path, capsys):
+        # (u.grad)u of |u| ~ 1e200 overflows in the pressure solve, which
+        # used to end the command in a traceback (exit 1)
+        grid = build_grid(16, 16, 1.0, 2.0)
+        from annulus_flux import couette
+
+        dump = tmp_path / "big.csv"
+        write_velocity_csv(dump, 1e200 * couette(grid, 1.0, 0.0)[0])
+        out = tmp_path / "diag"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["diagnose", str(dump), "--lambda", "1", "--nu", "1",
+                         "--out", str(out), "--quiet"])
+        assert code == 3
+        assert "cannot diagnose fields" in capsys.readouterr().err
         assert not (out / "diagnostics.json").exists()
 
     def test_non_solenoidal_field_rejected(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from annulus_flux import (
+    BoundaryTrace,
     ScalarField,
     VelocityField,
     build_grid,
@@ -22,7 +23,6 @@ from annulus_flux import (
     divergence,
     flux_carrier,
     flux_inner,
-    fourier_trace,
     integrate,
     read_velocity_csv,
     solve,
@@ -40,10 +40,11 @@ from annulus_flux.fields import (
     write_scalar_csv,
 )
 from annulus_flux.navier_stokes import SolverConfig, weak_residual
-from annulus_flux.testspace import ClampedFamily, angular_modes, clamped_radial_profiles
+from annulus_flux.testspace import (N_ANGULAR, N_RADIAL, ClampedFamily, angular_modes,
+                                    clamped_radial_profiles)
 
 
-def divergence_free_test_fields(grid, n_radial=4, n_angular=3):
+def divergence_free_test_fields(grid, n_radial=N_RADIAL, n_angular=N_ANGULAR):
     """The clamped test family as explicit fields curl(P_m Theta_n), m-major."""
     for profile in clamped_radial_profiles(grid, n_radial):
         for angular in angular_modes(grid, n_angular):
@@ -347,7 +348,7 @@ def test_weak_residual_of_converged_solve_matches_reference():
     # the residual of a converged state is rounding left over from cancelling
     # terms of order 1, so it can only agree to a bound tied to the terms
     g = build_grid(24, 16, 1.0, 2.0)
-    trace = couette_trace(1.0, 0.0) + fourier_trace(
+    trace = couette_trace(1.0, 0.0) + BoundaryTrace(
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
     cfg = SolverConfig(method="newton")
     report = solve(g, trace, cfg)
@@ -361,10 +362,10 @@ def test_weak_residual_of_converged_solve_matches_reference():
 @pytest.mark.parametrize("shape", [(16, 8), (32, 16), (24, 6)])
 def test_clamped_family_frames_match_explicit_fields(shape):
     g = build_grid(*shape, 1.0, 2.0)
-    family = ClampedFamily(g, 4, 3)
-    explicit = list(divergence_free_test_fields(g, 4, 3))
-    n_angular = len(angular_modes(g, 3))
-    assert len(explicit) == 4 * n_angular == 4 * min(7, g.n_theta - 1)
+    family = ClampedFamily(g)
+    explicit = list(divergence_free_test_fields(g))
+    n_angular = len(angular_modes(g, N_ANGULAR))
+    assert len(explicit) == N_RADIAL * n_angular == 4 * min(7, g.n_theta - 1)
     for index, eta in enumerate(explicit):
         m, n = divmod(index, n_angular)
         for want, pairs in zip(_gradient_frame(eta), family.frames):

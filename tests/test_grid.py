@@ -42,6 +42,11 @@ def test_minimal_grid():
     (32, 64, 2.0, 2.0),   # empty annulus
     (32, 64, 2.0, 1.0),   # inverted radii
     (4, 64, 1.0, 2.0),    # too few radial nodes
+    # NaN passes every comparison and inf passes r_inner < r_outer, so these
+    # three used to build a grid of non-finite nodes
+    (16, 16, 1.0, np.nan),
+    (16, 16, np.nan, 2.0),
+    (16, 16, 1.0, np.inf),
 ])
 def test_build_grid_rejects(args):
     with pytest.raises(ValueError):

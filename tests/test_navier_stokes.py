@@ -14,6 +14,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from annulus_flux import (
+    BoundaryTrace,
     ScalarField,
     SolverConfig,
     build_grid,
@@ -23,7 +24,6 @@ from annulus_flux import (
     curl_of_stream,
     flux_carrier,
     flux_inner,
-    fourier_trace,
     pure_flux_trace,
     radial_source,
     solve,
@@ -74,26 +74,28 @@ def spiral_state(grid, cfg):
     u_exact, _ = spiral_flow(grid, 2 * np.pi, 1.0, 1.0)
     psi = stream_function(u_exact - flux_carrier(grid, 2 * np.pi)).values
     omega = curl(u_exact).values
-    return _Problem.from_trace(grid, spiral_trace(2 * np.pi, 1.0, 1.0), cfg), psi, omega
+    trace = spiral_trace(2 * np.pi, 1.0, 1.0)
+    return _Problem(grid, cfg, trace.flux, StreamBC.from_trace(grid, trace)), psi, omega
 
 
 class TestPicardStep:
     def test_lambda_zero_contracts_to_zero(self, grid):
         # at lambda = 0 one step from any state lands on the Stokes state
         problem, psi, omega = spiral_state(grid, SolverConfig(lam=0.0))
-        dpsi, _ = problem.picard_update(problem.residual(psi, omega))
+        dpsi, _ = solve_stream_system(grid, -problem.residual(psi, omega).modes)
         psi_stokes, _ = problem.bc.stokes_state(grid)
         assert problem.update_norm(psi + dpsi - psi_stokes) < 1e-10
 
     def test_exact_solution_is_fixed_point(self, grid):
         problem, psi, omega = spiral_state(grid, NEWTON)
-        dpsi, _ = problem.picard_update(problem.residual(psi, omega))
+        dpsi, _ = solve_stream_system(grid, -problem.residual(psi, omega).modes)
         assert problem.update_norm(dpsi) < 1e-8
 
     def test_contraction_at_small_data(self, grid):
         # measured Lipschitz quotient of the fixed-point map at nu = 1,
         # flux = 0.1: well below one
-        problem = _Problem.from_trace(grid, spiral_trace(0.1, 0.2, 1.0), PICARD)
+        trace = spiral_trace(0.1, 0.2, 1.0)
+        problem = _Problem(grid, PICARD, trace.flux, StreamBC.from_trace(grid, trace))
         psi_stokes, omega_stokes = problem.bc.stokes_state(grid)
         bump = ScalarField.from_function(
             grid, lambda r, t: (r - 1) ** 2 * (2 - r) ** 2 * np.cos(t))
@@ -101,8 +103,8 @@ class TestPicardStep:
 
         def fixed_point_map(c):
             psi = psi_stokes + c * bump.values
-            dpsi, _ = problem.picard_update(
-                problem.residual(psi, omega_stokes - c * lap_bump))
+            dpsi, _ = solve_stream_system(
+                grid, -problem.residual(psi, omega_stokes - c * lap_bump).modes)
             return psi + dpsi
 
         q = (problem.update_norm(fixed_point_map(0.05) - fixed_point_map(-0.03))
@@ -135,7 +137,7 @@ class TestNewtonStep:
         # an angular-mode perturbation makes the nonlinearity genuinely
         # quadratic (rotationally symmetric states are linear in this
         # formulation); the defect history must contract quadratically
-        trace = spiral_trace(2 * np.pi, 1.0, 1.0) + fourier_trace(
+        trace = spiral_trace(2 * np.pi, 1.0, 1.0) + BoundaryTrace(
             1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05})
         report = solve(grid, trace, NEWTON)
         hist = report.residual_history
@@ -220,7 +222,7 @@ class TestSolve:
         # Picard at nu = 0.01 on Couette(5, 0) plus k = 2 normal data blows
         # up super-exponentially; the solve reports instead of overflowing
         g = build_grid(24, 16, 1.0, 2.0)
-        trace = couette_trace(5.0, 0.0) + fourier_trace(
+        trace = couette_trace(5.0, 0.0) + BoundaryTrace(
             1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05})
         report = solve(g, trace, SolverConfig(nu=0.01, method="picard"))
         assert not report.converged
@@ -231,7 +233,7 @@ class TestSolve:
         json.dumps(report.to_dict(), allow_nan=False)
 
     def test_nonradial_data_dense_newton(self, grid):
-        trace = couette_trace(1.0, 0.0) + fourier_trace(
+        trace = couette_trace(1.0, 0.0) + BoundaryTrace(
             1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
         report = solve(grid, trace, NEWTON)
         assert report.converged
@@ -352,8 +354,8 @@ class TestSweep:
     @pytest.mark.parametrize("trace, parameter, values", [
         (spiral_trace(1.0, 1.0, 1.0), "flux", [0.0, 1.0, 2.0, 5.0]),
         (spiral_trace(1.0, 1.0, 1.0), "lambda", [0.0, 0.5, 1.0]),
-        (couette_trace(1.0, 0.0) + fourier_trace(1.0, 2.0, normal_outer={2: 0.1},
-                                                 normal_inner={2: 0.05j}),
+        (couette_trace(1.0, 0.0) + BoundaryTrace(1.0, 2.0, normal_outer={2: 0.1},
+                                                  normal_inner={2: 0.05j}),
          "flux", [0.0, 0.5, 1.0]),
     ])
     def test_sweep_points_match_standalone_solves(self, grid, trace, parameter, values):
@@ -392,9 +394,9 @@ class TestSweep:
 
 
 NONAXI_CASES = {
-    "couette_k2_32x16": ((32, 16), couette_trace(1.0, 0.0) + fourier_trace(
+    "couette_k2_32x16": ((32, 16), couette_trace(1.0, 0.0) + BoundaryTrace(
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})),
-    "fourier_k234_32x64": ((32, 64), fourier_trace(
+    "fourier_k234_32x64": ((32, 64), BoundaryTrace(
         1.0, 2.0, angular_outer={0: 2.0},
         normal_outer={2: 0.05 + 0.03j, 3: -0.04j, 4: 0.06},
         normal_inner={2: 0.07, 3: 0.02 + 0.05j, 4: -0.03})),
@@ -403,7 +405,7 @@ NONAXI_CASES = {
 
 class TestNewtonKrylov:
     def _state(self, grid, trace):
-        problem = _Problem.from_trace(grid, trace, NEWTON)
+        problem = _Problem(grid, NEWTON, trace.flux, StreamBC.from_trace(grid, trace))
         psi, omega = problem.bc.stokes_state(grid)
         return problem, psi, omega
 
@@ -446,7 +448,7 @@ class TestNewtonKrylov:
         # at nu = 0.01 on 64x128 the step norm floors above tol after step 3
         # (1e-10 to 2e-9), while the relative residual reaches 1e-12 there
         g = build_grid(64, 128, 1.0, 2.0)
-        trace = couette_trace(5.0, 0.0) + fourier_trace(
+        trace = couette_trace(5.0, 0.0) + BoundaryTrace(
             1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
         report = solve(g, trace, SolverConfig(nu=0.01, max_iter=6))
         assert report.converged
@@ -459,7 +461,7 @@ class TestNewtonKrylov:
         # iterate is the step.  At nu = 0.001, 64 x 128 resolves the state
         # (Chebyshev tail of omega <= 6e-6), so J is held to its value
         g = build_grid(64, 128, 1.0, 2.0)
-        trace = couette_trace(omega1, 0.0) + fourier_trace(
+        trace = couette_trace(omega1, 0.0) + BoundaryTrace(
             1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
         report = solve(g, trace, SolverConfig(nu=nu, max_iter=8))
         assert report.converged
@@ -611,7 +613,7 @@ class TestOneProblem:
         # with the convection and the side condition assembled on their own
         (n_r, n_theta), trace = NONAXI_CASES[case]
         g = build_grid(n_r, n_theta, 1.0, 2.0)
-        problem = _Problem.from_trace(g, trace, PICARD)
+        problem = _Problem(g, PICARD, trace.flux, StreamBC.from_trace(g, trace))
         psi, omega = problem.bc.stokes_state(g)
         for _ in range(3):
             u = problem.velocity(ScalarField(g, psi))
@@ -623,7 +625,7 @@ class TestOneProblem:
             swirl = advect(u, u).u_theta.values  # theta component of (u.grad)u
             rhs[1, 0, 0] = problem.ratio * swirl[0, :].mean() * n_theta
             target_psi, target_omega = solve_stream_system(g, rhs)
-            dpsi, domega = problem.picard_update(problem.residual(psi, omega))
+            dpsi, domega = solve_stream_system(g, -problem.residual(psi, omega).modes)
             scale = max(np.max(np.abs(psi)), np.max(np.abs(omega)))
             assert np.max(np.abs(dpsi - (target_psi - psi))) <= 1e-11 * scale
             assert np.max(np.abs(domega - (target_omega - omega))) <= 1e-11 * scale
@@ -635,7 +637,7 @@ class TestOneProblem:
         # is the norm of the rfft coefficients of (omega, Lap(omega))
         (n_r, n_theta), trace = NONAXI_CASES[case]
         g = build_grid(n_r, n_theta, 1.0, 2.0)
-        problem = _Problem.from_trace(g, trace, NEWTON)
+        problem = _Problem(g, NEWTON, trace.flux, StreamBC.from_trace(g, trace))
         psi, omega = problem.bc.stokes_state(g)
         res = problem.residual(psi, omega)
         lap = scalar_laplacian(ScalarField(g, omega)).values

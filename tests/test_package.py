@@ -48,7 +48,7 @@ def test_public_names():
         "bernoulli_deviation", "boundary_pressures", "build_grid", "couette",
         "couette_trace", "curl", "curl_of_stream", "diagnostics_for_fields",
         "diagnostics_for_solution", "dirichlet_norm", "divergence", "euler_residual",
-        "flux_carrier", "flux_inner", "fourier_trace", "head_pressure",
+        "flux_carrier", "flux_inner", "head_pressure",
         "identity_37", "identity_energy", "integrate", "make_trace",
         "max_principle_check", "normalize",
         "pressure_from_momentum", "pure_flux_trace", "radial_source", "read_velocity_csv",
@@ -73,13 +73,12 @@ def test_public_options():
         "SolverConfig": ["nu", "lam", "method", "tol", "max_iter"],
         "bernoulli_deviation": ["n_levels", "critical_rel", "full_output"],
         "couette_trace": ["r_inner", "r_outer"],
-        "fourier_trace": ["normal_outer", "angular_outer", "normal_inner", "angular_inner"],
         "pure_flux_trace": ["r_inner", "r_outer"],
         "solve": ["warm_start"],
         "spiral_trace": ["r_inner", "r_outer"],
         "stream_function": ["flux_tol", "div_tol"],
     }
-    assert sum(map(len, options.values())) == 29
+    assert sum(map(len, options.values())) == 25
 
 
 def test_stokes_entry_points():

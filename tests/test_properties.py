@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annulus_flux import SolverConfig, build_grid, flux_inner, fourier_trace, solve, weak_residual
+from annulus_flux import (BoundaryTrace, SolverConfig, build_grid, flux_inner, solve,
+                          weak_residual)
 
 R_INNER, R_OUTER = 1.0, 2.0
 FLUX_TOL = 1e-10
@@ -27,10 +28,10 @@ def traces(draw):
     flux = draw(st.floats(-2.0 * np.pi, 2.0 * np.pi))
     normal_outer = {0: -flux / (2.0 * np.pi * R_OUTER), **draw(harmonics)}
     normal_inner = {0: flux / (2.0 * np.pi * R_INNER), **draw(harmonics)}
-    return fourier_trace(R_INNER, R_OUTER, normal_outer=normal_outer,
-                         angular_outer={0: draw(swirl), **draw(harmonics)},
-                         normal_inner=normal_inner,
-                         angular_inner={0: draw(swirl), **draw(harmonics)})
+    return BoundaryTrace(R_INNER, R_OUTER, normal_outer=normal_outer,
+                          angular_outer={0: draw(swirl), **draw(harmonics)},
+                          normal_inner=normal_inner,
+                          angular_inner={0: draw(swirl), **draw(harmonics)})
 
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)

@@ -13,11 +13,11 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from annulus_flux import (
+    BoundaryTrace,
     ScalarField,
     VelocityField,
     couette_trace,
     flux_carrier,
-    fourier_trace,
     integrate,
     pressure_from_momentum,
     pure_flux_trace,
@@ -28,7 +28,7 @@ from annulus_flux.fields import velocity_l2_norm
 from annulus_flux.grid import BlockFactors, solve_blocks
 from annulus_flux.navier_stokes import SolverConfig, _Problem, solve, weak_residual
 from annulus_flux.oracle import AmickProfile, amick_flow, couette_constants
-from annulus_flux.stokes import solve_stream_system
+from annulus_flux.stokes import StreamBC, solve_stream_system
 
 
 def couette_field(grid, omega1, omega2):
@@ -83,7 +83,7 @@ def test_stokes_deterministic(grid):
 
 
 def test_stokes_trace_error_mixed_data(grid):
-    tr = spiral_trace(2.0, 1.0, 1.0) + fourier_trace(
+    tr = spiral_trace(2.0, 1.0, 1.0) + BoundaryTrace(
         1.0, 2.0, normal_outer={2: 0.2}, normal_inner={2: 0.1j}, angular_outer={1: 0.3})
     sol = stokes_solve(grid, tr)
     assert sol.trace_error < 1e-9
@@ -188,9 +188,9 @@ def test_factor_stacks_solve_reference_blocks(grid):
 
 def test_modal_jacobian_at_lambda_zero_is_stream_blocks(grid):
     # the Newton blocks extend the stream layout; at lambda = 0 they are it
-    tr = spiral_trace(1.0, 1.0, 1.0) + fourier_trace(
+    tr = spiral_trace(1.0, 1.0, 1.0) + BoundaryTrace(
         1.0, 2.0, normal_outer={3: 0.2}, angular_inner={2: 0.1})
-    problem = _Problem.from_trace(grid, tr, SolverConfig(lam=0.0))
+    problem = _Problem(grid, SolverConfig(lam=0.0), tr.flux, StreamBC.from_trace(grid, tr))
     psi, omega = problem.bc.stokes_state(grid)
     blocks = problem.modal_jacobian(problem.velocity(ScalarField(grid, psi)), omega)
     stream = np.stack(reference_blocks(grid)[0])
@@ -200,13 +200,13 @@ def test_modal_jacobian_at_lambda_zero_is_stream_blocks(grid):
 
 @pytest.mark.parametrize("trace", [
     spiral_trace(2 * np.pi, 1.0, 1.0),
-    couette_trace(1.0, 0.0) + fourier_trace(1.0, 2.0, normal_outer={2: 0.1},
-                                            normal_inner={2: 0.05j}),
+    couette_trace(1.0, 0.0) + BoundaryTrace(1.0, 2.0, normal_outer={2: 0.1},
+                                             normal_inner={2: 0.05j}),
 ])
 def test_lazy_blocks_equal_full_stack(grid, trace):
     # a builder fills any runs of modes, over any number of calls, with the
     # blocks of the full stack bit for bit, and leaves the other slices zero
-    problem = _Problem.from_trace(grid, trace, SolverConfig())
+    problem = _Problem(grid, SolverConfig(), trace.flux, StreamBC.from_trace(grid, trace))
     psi, omega = problem.bc.stokes_state(grid)
     res = problem.residual(psi, omega)
     last = grid.n_modes - 1
@@ -226,9 +226,9 @@ def test_lazy_blocks_equal_full_stack(grid, trace):
 
 def test_solve_blocks_matches_lu_solve_per_block(grid):
     rng = np.random.default_rng(7)
-    tr = couette_trace(1.0, 0.0) + fourier_trace(
+    tr = couette_trace(1.0, 0.0) + BoundaryTrace(
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
-    problem = _Problem.from_trace(grid, tr, SolverConfig())
+    problem = _Problem(grid, SolverConfig(), tr.flux, StreamBC.from_trace(grid, tr))
     psi, omega = problem.bc.stokes_state(grid)
     u = problem.velocity(ScalarField(grid, psi))
     complex_factors = BlockFactors(partial(problem.modal_jacobian, u, omega),
@@ -247,9 +247,9 @@ def test_solve_blocks_matches_lu_solve_per_block(grid):
 
 
 def test_block_factors_match_lu_factor_per_block(grid):
-    tr = couette_trace(1.0, 0.0) + fourier_trace(
+    tr = couette_trace(1.0, 0.0) + BoundaryTrace(
         1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05j})
-    problem = _Problem.from_trace(grid, tr, SolverConfig())
+    problem = _Problem(grid, SolverConfig(), tr.flux, StreamBC.from_trace(grid, tr))
     psi, omega = problem.bc.stokes_state(grid)
     u = problem.velocity(ScalarField(grid, psi))
     for build, dtype in ((grid.stream_blocks, float),
