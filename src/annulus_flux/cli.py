@@ -38,7 +38,7 @@ from .diagnostics import diagnostics_for_fields
 from .fields import read_velocity_csv, write_scalar_csv, write_velocity_csv
 from .grid import PolarGrid, build_grid
 from .navier_stokes import ContinuationTrace, SolverConfig, _check_sweep, solve, sweep
-from .stokes import pressure_from_momentum
+from .stokes import StreamBC, pressure_from_momentum
 from .verify import format_table, run_checks
 
 EXIT_OK = 0
@@ -47,7 +47,8 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_CONFIG = 3
 
 # the least-squares pressure and the solver's residual norms square terms of
-# size |u|^2, so boundary data or a flux larger than this give no finite report
+# size |u|^2 and nu |u|, so boundary data, a flux or a viscosity larger than
+# this give no finite report
 DATA_BOUND = sys.float_info.max ** 0.25
 
 
@@ -108,6 +109,7 @@ class RunConfig:
         bspec.setdefault("r_outer", grid.r_outer)
         try:
             trace = make_trace(bspec)
+            StreamBC.from_trace(grid, trace)  # the radii and harmonics the grid carries
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"boundary: {exc}") from exc
         size = max((abs(c) for coefs in (trace.normal_outer, trace.angular_outer,
@@ -128,6 +130,9 @@ class RunConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver: {exc}") from exc
+        if not solver.nu <= DATA_BOUND:
+            raise ConfigError(f"solver: viscosity {solver.nu:.3e} exceeds {DATA_BOUND:.3e}, "
+                              "beyond which the pressure overflows")
 
         sweep_parameter = None
         sweep_values = None

@@ -16,10 +16,12 @@ per-mode blocks is made.  Its builder assembles a block, and
 :func:`solve_blocks` LU-factors it, the first time a right-hand side is not
 exactly zero in its mode; a block no solve reaches is never assembled.  For
 axisymmetric data the FFT leaves every mode k >= 1 exactly zero on most
-grids, and then one block is assembled and factored.  Every modal solve of
-the package, the stream and Neumann systems and the Newton preconditioner,
-goes through :func:`solve_modes`, which packs rfft coefficients onto the
-stack; only this module calls :func:`solve_blocks`.
+grids, and then one block is assembled and factored.  On the two angular
+nodes of a grid's ring (:attr:`PolarGrid.ring`), where the nonlinear solver
+iterates axisymmetric data, mode 1 is exactly zero on every grid.  Every
+modal solve of the package, the stream and Neumann systems and the Newton
+preconditioner, goes through :func:`solve_modes`, which packs rfft
+coefficients onto the stack; only this module calls :func:`solve_blocks`.
 """
 
 from __future__ import annotations
@@ -112,6 +114,9 @@ class PolarGrid:
     mode_laplacians : (n_modes, n_r, n_r) stack of Lap_k.
     stream_lu, neumann_lu : :class:`BlockFactors` of the per-mode
         systems, for :func:`solve_modes`.
+    ring : the grid with these radial nodes and two angular nodes, made on
+        first use and held by this grid, not by :func:`build_grid`'s four;
+        axisymmetric data iterate on it.
     """
 
     n_r: int
@@ -224,6 +229,17 @@ class PolarGrid:
             out[0, -1, -1] = 1.0
 
         return BlockFactors(build, 1, self.n_r)
+
+    @functools.cached_property
+    def ring(self) -> PolarGrid:
+        """The grid of two angular nodes with these radial nodes; this grid if n_theta = 2.
+
+        A field constant along theta keeps only mode 0, which the ring
+        carries exactly, so rotationally symmetric data iterate on it.
+        """
+        if self.n_theta == 2:
+            return self
+        return PolarGrid(n_r=self.n_r, n_theta=2, r_inner=self.r_inner, r_outer=self.r_outer)
 
     # -- per-mode operators -------------------------------------------------------
 

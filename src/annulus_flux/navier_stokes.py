@@ -27,7 +27,13 @@ per-mode Jacobian about the angular mean.  Each of its blocks is assembled
 and factored at most once per step, when a solve first reaches that mode:
 about a rotationally symmetric state the preconditioner is the exact
 Jacobian, every mode k >= 1 of the residual is exactly zero, so only the
-mode-0 block is built, and GMRES takes no iterations.
+mode-0 block is built, and GMRES takes no iterations.  A datum with no
+harmonic above 0 keeps every iterate from the Stokes state, or from a warm
+start constant along theta, in that state, so ``solve`` and ``sweep`` run
+the iteration on the grid's two-column ring (``PolarGrid.ring``), with the
+same radial nodes, where the FFT leaves mode 1 exactly zero; J comes from
+the ring, and ``solve`` tiles the stream functions onto the configured grid
+for the velocity, the pressure and the diagnostics.
 GMRES stops at a relative 1e-10, floored at the residual's rounding level, or
 at KRYLOV_MAX_ITER iterations, and its least-squares iterate gives the step.
 Memory is at most n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1
@@ -502,11 +508,28 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
         if res.norm <= 0.1 * cfg.tol * res.size:
             converged = True
             break
-    u_stokes = problem.velocity(ScalarField(grid, psi_stokes))
-    u = problem.velocity(ScalarField(grid, psi))
-    w = u - u_stokes
+    u_stokes, u, w = _velocities(problem.carrier, psi_stokes, psi)
     return _Solution(u_stokes, u, w, dirichlet_norm(w), psi, omega, history, residual_norms,
                      steps, converged)
+
+
+def _velocities(carrier: VelocityField, psi_stokes: np.ndarray, psi: np.ndarray):
+    """(u_stokes, u, w = u - u_stokes) of two stream functions about ``carrier``."""
+    u_stokes, u = (carrier + curl_of_stream(ScalarField(carrier.grid, a))
+                   for a in (psi_stokes, psi))
+    return u_stokes, u, u - u_stokes
+
+
+def _iteration_grid(grid: PolarGrid, trace: BoundaryTrace,
+                    warm_start: tuple[np.ndarray, np.ndarray] | None) -> PolarGrid:
+    """``grid.ring`` for a datum with no harmonic above 0 and a start constant along theta.
+
+    Every iterate from such a start is constant along theta, mode 0 only,
+    which the ring carries exactly; any other solve iterates on ``grid``.
+    """
+    symmetric = trace.max_harmonic == 0 and (
+        warm_start is None or all(np.all(a == a[:, :1]) for a in warm_start))
+    return grid.ring if symmetric else grid
 
 
 def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
@@ -519,9 +542,23 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     with J = 0, converged after 0 iterations, whatever the warm start, and
     its pressure is the Stokes pressure.  The prescribed flux is carried
     exactly at every iterate because the carrier never enters the iteration.
+    A datum with no harmonic above 0, started cold or from a state constant
+    along theta, iterates on ``grid.ring``, which gives J; its stream
+    functions are then tiled onto ``grid``, where the velocity, the pressure
+    and the diagnostics are formed.
     """
-    problem = _Problem(grid, cfg, trace.flux, StreamBC.from_trace(grid, trace))
-    sol = _iterate(problem, problem.bc.stokes_state(grid), warm_start)
+    run = _iteration_grid(grid, trace, warm_start)
+    if run is not grid and warm_start is not None:
+        warm_start = tuple(np.repeat(a[:, :1], run.n_theta, axis=1) for a in warm_start)
+    problem = _Problem(run, cfg, trace.flux, StreamBC.from_trace(run, trace))
+    stokes_state = problem.bc.stokes_state(run)
+    sol = _iterate(problem, stokes_state, warm_start)
+    if run is not grid:  # C-ordered, since BLAS rounds other layouts differently
+        psi_stokes, psi, omega = (np.repeat(a[:, :1], grid.n_theta, axis=1)
+                                  for a in (stokes_state[0], sol.psi, sol.omega))
+        u_stokes, u, w = _velocities(flux_carrier(grid, trace.flux), psi_stokes, psi)
+        sol = sol._replace(u_stokes=u_stokes, u=u, w=w, psi=psi, omega=omega)
+    del stokes_state  # not held through the pressure, whose peak it would raise
     u, psi = sol.u, sol.psi
     p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu)
     diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, sol.u_stokes, sol.w, sol.J,
@@ -556,9 +593,12 @@ def sweep(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     then retry); if the point still fails it is recorded as diverged and
     the sweep continues from the last converged state.
     The parameter and the values are checked before any point is solved.
+    Every point iterates where :func:`solve` would, on ``grid.ring`` for a
+    datum with no harmonic above 0, so its J is that of the standalone solve.
     """
     values = [float(v) for v in values]
     _check_sweep(parameter, values)
+    grid = _iteration_grid(grid, trace, None)
     remainder = trace.zero_flux_remainder()
     bc = StreamBC.from_trace(grid, trace)
     stokes_state = bc.stokes_state(grid)

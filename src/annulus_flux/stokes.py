@@ -13,7 +13,8 @@ grid's one modal solve, ``grid.solve_modes``, which assembles and factors a
 block the first time a right-hand side reaches its mode and skips modes whose
 right-hand side is exactly zero.  An axisymmetric datum whose modes k >= 1
 come out of the FFT exactly zero thus assembles, factors and solves mode 0
-only.  The Stokes state depends only on the clamped stream data
+only; the nonlinear solver builds its stream data and Stokes state on the
+grid's two-column ring, where that holds at any n_theta.  The Stokes state depends only on the clamped stream data
 (:class:`StreamBC`), which a continuation sweep holds fixed, so a sweep
 solves it once for all its points.
 

@@ -179,6 +179,31 @@ class TestSolve:
         assert "collision" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {"n_r": 16, "n_theta": 8},
+          "boundary": {"preset": "fourier", "normal_outer": {"4": 0.1}}},
+         "trace harmonic 4 is not resolved by n_theta=8"),
+        ({"boundary": {"preset": "couette", "omega1": 1.0, "r_inner": 1.5}},
+         "trace and grid radii differ"),
+    ])
+    def test_datum_the_grid_cannot_carry_rejected(self, tmp_path, capsys, overrides, message):
+        # both passed every config check and ended in a traceback inside
+        # solve (exit 1), raised by the stream data of the datum
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert f"config error: boundary: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_viscosity_rejected(self, tmp_path, capsys):
+        # nu = 1e300 is finite and positive, but the least-squares pressure
+        # squares nu Lap(u): the solve ended in a traceback (exit 1)
+        cfg = write_config(tmp_path, {"grid": {"n_r": 16, "n_theta": 16}, "nu": 1e300})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "solver: viscosity" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides", [
         {"nu": float("inf")}, {"nu": float("nan")},
         {"solver": {"tol": float("inf")}}, {"solver": {"tol": float("nan")}},

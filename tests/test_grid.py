@@ -20,6 +20,7 @@ from annulus_flux.grid import (
     clenshaw_curtis_weights,
     solve_blocks,
 )
+from annulus_flux.verify import run_checks
 
 
 def test_canonical_annulus_areas():
@@ -203,3 +204,9 @@ def test_build_grid_shares_one_grid_and_its_factors(tmp_path):
     }))
     assert main(["solve", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
     assert read_velocity_csv(tmp_path / "fields.csv").grid is g
+    # the symmetric solve iterated on the grid's own ring, which does not
+    # take a place among the shared grids: verify's three grids keep theirs
+    assert g.ring is g.ring and (g.ring.n_r, g.ring.n_theta) == (32, 2)
+    assert g.ring.ring is g.ring
+    run_checks(32, 64)
+    assert build_grid(32, 64, 1.0, 2.0) is g

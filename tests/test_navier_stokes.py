@@ -181,6 +181,42 @@ class TestSolve:
         assert len(norms) == report.iterations + 1
         assert norms[-1] <= 0.1 * NEWTON.tol < norms[0]
 
+    @pytest.mark.parametrize("n_theta", [64, 80])
+    def test_symmetric_datum_iterates_on_ring(self, monkeypatch, n_theta):
+        # a datum with no harmonic above 0 iterates on the two-column ring,
+        # whose rfft leaves mode 1 exactly zero: each Newton step factors the
+        # mode-0 block alone, also at n_theta = 80, where the FFT of the full
+        # grid left rounding in every mode and a step factored all 41 blocks
+        made = []
+        monkeypatch.setattr(navier_stokes, "BlockFactors",
+                            lambda *args: made.append(BlockFactors(*args)) or made[-1])
+        trace = spiral_trace(2 * np.pi, 1.0, 1.0)
+        report = solve(build_grid(32, n_theta, 1.0, 2.0), trace, NEWTON)
+        assert report.converged and report.iterations == len(made) >= 1
+        assert [np.flatnonzero(m.factored).tolist() for m in made] == [[0]] * len(made)
+        assert report.psi.values.shape == report.u.u_r.values.shape == (32, n_theta)
+        assert report.psi.values.flags.c_contiguous
+        reference = solve(build_grid(32, 64, 1.0, 2.0), trace, NEWTON).J
+        assert abs(report.J - reference) <= 1e-10 * reference
+
+    def test_varying_warm_start_iterates_on_configured_grid(self, fine_grid, monkeypatch):
+        # only a start constant along theta keeps the iterates on the ring
+        trace = spiral_trace(2 * np.pi, 1.0, 1.0)
+        cold = solve(fine_grid, trace, NEWTON)
+        bump = 1e-3 * np.sin(fine_grid.tt) * ((fine_grid.rr - 1.0) * (2.0 - fine_grid.rr)) ** 2
+        grids = []
+        iterate = navier_stokes._iterate
+        monkeypatch.setattr(navier_stokes, "_iterate",
+                            lambda problem, *args: grids.append(problem.grid)
+                            or iterate(problem, *args))
+        warm = solve(fine_grid, trace, NEWTON, warm_start=(cold.psi.values + bump,
+                                                           cold.omega.values))
+        again = solve(fine_grid, trace, NEWTON, warm_start=(cold.psi.values,
+                                                            cold.omega.values))
+        assert grids == [fine_grid, fine_grid.ring]
+        assert warm.converged and abs(warm.J - cold.J) <= 1e-10 * cold.J
+        assert again.converged and abs(again.J - cold.J) <= 1e-10 * cold.J
+
     def test_lambda_zero_returns_stokes(self, grid, spiral_setting):
         trace = spiral_setting[0]
         report = solve(grid, trace, SolverConfig(nu=1.0, lam=0.0))
