@@ -9,12 +9,13 @@ Subcommands:
 * ``diagnose`` -- apply the diagnostics to a stored velocity CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 non-convergence (the report
-is still written), 3 invalid configuration or input.  Reports are written
-deterministically (sorted keys, repr floats); wall-clock metadata, with the
-seconds spent solving and writing, goes to a separate run_meta.json.  Repeated
-runs of the same configuration repeat every output byte for byte only at a
-fixed BLAS thread count and array layout: the trailing digits of every output
-depend on the thread count.
+is still written), 3 invalid configuration or input, including a datum whose
+outputs would overflow (no output file is written).  Reports are written
+deterministically (sorted keys, repr floats, strict JSON); wall-clock
+metadata, with the seconds spent solving and writing, goes to a separate
+run_meta.json.  Repeated runs of the same configuration repeat every output
+byte for byte only at a fixed BLAS thread count and array layout: the
+trailing digits of every output depend on the thread count.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ EXIT_BAD_CONFIG = 3
 
 # the least-squares pressure and the solver's residual norms square terms of
 # size |u|^2 and nu |u|, so boundary data, a flux or a viscosity larger than
-# this give no finite report
+# this give no finite report; smaller data can too, as the Euler residual squares p/J^2
 DATA_BOUND = sys.float_info.max ** 0.25
 
 
@@ -101,7 +102,7 @@ class RunConfig:
                 _integer("grid", gspec, "n_r", 32), _integer("grid", gspec, "n_theta", 64),
                 float(gspec.get("r_inner", 1.0)), float(gspec.get("r_outer", 2.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"grid: {exc}") from exc
 
         bspec = dict(section("boundary"))
@@ -110,7 +111,7 @@ class RunConfig:
         try:
             trace = make_trace(bspec)
             StreamBC.from_trace(grid, trace)  # the radii and harmonics the grid carries
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        except (TypeError, ValueError, KeyError, ArithmeticError) as exc:
             raise ConfigError(f"boundary: {exc}") from exc
         size = max((abs(c) for coefs in (trace.normal_outer, trace.angular_outer,
                                          trace.normal_inner, trace.angular_inner)
@@ -172,7 +173,8 @@ def _integer(name: str, spec: dict, key: str, default: int) -> int:
 
 
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write ``payload`` as strict JSON; ValueError, before writing, on a non-finite number."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 @functools.cache
@@ -209,7 +211,9 @@ def _run(args, command: str, run: Callable, write: Callable):
     """Load ``args.config``; time ``run(config)``, then ``write(out, result)``.
 
     Returns (config, out, result); run_meta.json records the two phases.
-    Raises ConfigError before the output directory ``out`` is made.
+    Raises ConfigError before the output directory ``out`` is made, and on
+    the ValueError that ``run`` or ``write`` raises, before writing, on a
+    non-finite output: a datum whose outputs overflow.
     """
     config = RunConfig.load(args.config)
     if command == "sweep" and config.sweep_parameter is None:
@@ -217,9 +221,12 @@ def _run(args, command: str, run: Callable, write: Callable):
     out = Path(args.out or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = run(config)
-    done = time.perf_counter()
-    write(out, result)
+    try:
+        result = run(config)
+        done = time.perf_counter()
+        write(out, result)
+    except ValueError as exc:
+        raise ConfigError(f"{command}: the data give no finite result: {exc}") from exc
     _write_meta(out, command, {f"{command}_s": done - start,
                                "write_s": time.perf_counter() - done})
     return config, out, result

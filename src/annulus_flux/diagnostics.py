@@ -319,17 +319,18 @@ def _assemble(grid: PolarGrid, u: VelocityField, p: ScalarField, lam: float, nu:
 
 
 def diagnostics_for_solution(grid: PolarGrid, u: VelocityField, p: ScalarField,
-                             lam: float, nu: float, u_stokes: VelocityField,
-                             w: VelocityField, J: float, psi: ScalarField) -> DiagnosticsRecord:
+                             lam: float, nu: float, w: VelocityField, J: float,
+                             psi: ScalarField) -> DiagnosticsRecord:
     """Record for a converged solve: identities evaluated on the normalized pair.
 
     The head pressure, maximum principle, Bernoulli spread (on the level
     sets of ``psi``, the stream function of the zero-flux part of ``u``) and
     boundary pressures refer to the physical fields (u, p); the identity and
     Euler entries refer to the blow-up pair (w/J, p/J^2), which is where the
-    argument uses them.  ``J`` is the Dirichlet norm of ``w``, as the solve
-    measured it; for flows with J ~ 0 the normalized entries degenerate to
-    zero candidates.
+    argument uses them, with u - w, the Stokes velocity, as the pairing
+    field.  ``J`` is the Dirichlet norm of ``w``, as the solve measured it;
+    for flows with J ~ 0 the normalized entries degenerate to zero
+    candidates.
     """
     flux = flux_inner(u)
     if J > 1e-12:
@@ -337,7 +338,7 @@ def diagnostics_for_solution(grid: PolarGrid, u: VelocityField, p: ScalarField,
     else:
         w_hat = VelocityField.zeros(grid)
         p_hat = ScalarField.zeros(grid)
-    return _assemble(grid, u, p, lam, nu, w_hat, p_hat, u_stokes, flux, psi)
+    return _assemble(grid, u, p, lam, nu, w_hat, p_hat, u - w, flux, psi)
 
 
 def diagnostics_for_fields(grid: PolarGrid, u: VelocityField, p: ScalarField,

@@ -31,9 +31,9 @@ mode-0 block is built, and GMRES takes no iterations.  A datum with no
 harmonic above 0 keeps every iterate from the Stokes state, or from a warm
 start constant along theta, in that state, so ``solve`` and ``sweep`` run
 the iteration on the grid's two-column ring (``PolarGrid.ring``), with the
-same radial nodes, where the FFT leaves mode 1 exactly zero; J comes from
-the ring, and ``solve`` tiles the stream functions onto the configured grid
-for the velocity, the pressure and the diagnostics.
+same radial nodes, where the FFT leaves mode 1 exactly zero.  J, the
+Dirichlet norm of w = u - u_Stokes, is that of curl(psi - psi_Stokes) on the
+iteration's grid, so no velocity field is formed for it.
 GMRES stops at a relative 1e-10, floored at the residual's rounding level, or
 at KRYLOV_MAX_ITER iterations, and its least-squares iterate gives the step.
 Memory is at most n_modes blocks of (2 n_r)^2 plus KRYLOV_MAX_ITER + 1
@@ -53,8 +53,9 @@ the previous point's state.  The step defect floors at the rounding level of
 the direct solves, which can lie above tol on fine grids at low viscosity;
 the relative residual floors near 1e-12 there.  F is evaluated once per
 iterate and feeds the next step, so a Newton solve ends on the step that
-reached the solution, without a further step to confirm it.  A non-finite or
-blown-up step ends the iteration unconverged at the last finite iterate.
+reached the solution, without a further step to confirm it.  A step that is
+not finite or reaches max|psi| >= BLOWUP_FACTOR max(1, max|psi0|) ends the
+iteration unconverged at the last iterate, which stops a geometric blow-up.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ KRYLOV_RTOL = 1e-10
 # cost cap on the GMRES iterations of a Newton-Krylov step, whose iterate there
 # is the step; nu = 1 data needs 2-6, late steps at nu <= 0.002 reach the cap
 KRYLOV_MAX_ITER = 100
-# a step this many times larger than max(1, max|psi|) counts as divergence
+# an iterate this many times max(1, max|psi0|), psi0 the start, has diverged
 BLOWUP_FACTOR = 1e6
 
 
@@ -435,11 +436,8 @@ def _gmres(apply: Callable, rhs: np.ndarray, target: float, max_iter: int):
 
 
 class _Solution(NamedTuple):
-    """A solve up to J, before its pressure and diagnostics."""
+    """A solve's final stream functions and J, before its velocity, pressure and diagnostics."""
 
-    u_stokes: VelocityField
-    u: VelocityField
-    w: VelocityField
     J: float
     psi: np.ndarray
     omega: np.ndarray
@@ -460,11 +458,11 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
     step is applied the iteration has converged when the step defect is
     below ``tol`` or, failing that, when ||F|| at the new iterate is at most
     0.1 tol times the size of the terms F sums.
-    Every Newton iteration is one ``krylov`` step.  A non-finite or blown-up
-    step is not applied: the iteration stops, unconverged, at the last
-    finite iterate.
-    At lambda = 0 the Stokes state is returned, converged after 0
-    iterations, and ``warm_start`` is ignored.
+    Every Newton iteration is one ``krylov`` step.  A non-finite or
+    blown-up step (module docstring) is not applied: the iteration stops,
+    unconverged, at the last iterate.  J is the Dirichlet norm of
+    curl(psi - psi_stokes).  At lambda = 0 the Stokes state is returned,
+    converged after 0 iterations with J = 0, and ``warm_start`` is ignored.
     """
     grid, cfg = problem.grid, problem.cfg
     psi_stokes, omega_stokes = stokes_state
@@ -473,6 +471,7 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
     stokes = cfg.lam == 0.0
     psi0, omega0 = (psi_stokes, omega_stokes) if stokes or warm_start is None else warm_start
     psi, omega = psi0, omega0
+    blowup = BLOWUP_FACTOR * max(1.0, np.max(np.abs(psi0)))
     history: list[float] = []
     residual_norms: list[float] = []
     steps: list[dict] = []
@@ -492,13 +491,14 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
                 dpsi, domega, step = problem.newton_update(res)
             except _NewtonSingularError:
                 break  # a non-finite factor or step: keep the last finite iterate
-        finite = np.all(np.isfinite(dpsi)) and np.all(np.isfinite(domega))
-        if not finite or np.max(np.abs(dpsi)) >= BLOWUP_FACTOR * max(1.0, np.max(np.abs(psi))):
-            break  # divergence: keep the last finite iterate
+        psi_next = psi + dpsi
+        # NaN fails the comparison: a non-finite step stops here too
+        if not (np.max(np.abs(psi_next)) < blowup and np.all(np.isfinite(domega))):
+            break
         defect = problem.update_norm(dpsi) / scale
         history.append(defect)
         steps.append(step)
-        psi = psi + dpsi
+        psi = psi_next
         omega = omega + domega
         if defect < cfg.tol:
             converged = True
@@ -508,16 +508,8 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
         if res.norm <= 0.1 * cfg.tol * res.size:
             converged = True
             break
-    u_stokes, u, w = _velocities(problem.carrier, psi_stokes, psi)
-    return _Solution(u_stokes, u, w, dirichlet_norm(w), psi, omega, history, residual_norms,
-                     steps, converged)
-
-
-def _velocities(carrier: VelocityField, psi_stokes: np.ndarray, psi: np.ndarray):
-    """(u_stokes, u, w = u - u_stokes) of two stream functions about ``carrier``."""
-    u_stokes, u = (carrier + curl_of_stream(ScalarField(carrier.grid, a))
-                   for a in (psi_stokes, psi))
-    return u_stokes, u, u - u_stokes
+    return _Solution(problem.update_norm(psi - psi_stokes), psi, omega, history,
+                     residual_norms, steps, converged)
 
 
 def _iteration_grid(grid: PolarGrid, trace: BoundaryTrace,
@@ -543,9 +535,9 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     its pressure is the Stokes pressure.  The prescribed flux is carried
     exactly at every iterate because the carrier never enters the iteration.
     A datum with no harmonic above 0, started cold or from a state constant
-    along theta, iterates on ``grid.ring``, which gives J; its stream
-    functions are then tiled onto ``grid``, where the velocity, the pressure
-    and the diagnostics are formed.
+    along theta, iterates on ``grid.ring``, which gives J.  Either way the
+    stream functions are then brought onto ``grid``, where u, w, the
+    pressure and the diagnostics are formed.
     """
     run = _iteration_grid(grid, trace, warm_start)
     if run is not grid and warm_start is not None:
@@ -553,24 +545,23 @@ def solve(grid: PolarGrid, trace: BoundaryTrace, cfg: SolverConfig,
     problem = _Problem(run, cfg, trace.flux, StreamBC.from_trace(run, trace))
     stokes_state = problem.bc.stokes_state(run)
     sol = _iterate(problem, stokes_state, warm_start)
-    if run is not grid:  # C-ordered, since BLAS rounds other layouts differently
-        psi_stokes, psi, omega = (np.repeat(a[:, :1], grid.n_theta, axis=1)
-                                  for a in (stokes_state[0], sol.psi, sol.omega))
-        u_stokes, u, w = _velocities(flux_carrier(grid, trace.flux), psi_stokes, psi)
-        sol = sol._replace(u_stokes=u_stokes, u=u, w=w, psi=psi, omega=omega)
-    del stokes_state  # not held through the pressure, whose peak it would raise
-    u, psi = sol.u, sol.psi
+    # a ring state is tiled C-ordered, since BLAS rounds other layouts differently
+    psi_stokes, psi, omega = (a if run is grid else np.repeat(a[:, :1], grid.n_theta, axis=1)
+                              for a in (stokes_state[0], sol.psi, sol.omega))
+    u = flux_carrier(grid, trace.flux) + curl_of_stream(ScalarField(grid, psi))
+    w = curl_of_stream(ScalarField(grid, psi - psi_stokes))
+    del stokes_state, psi_stokes  # not held through the pressure, whose peak it would raise
     p, pinfo = pressure_from_momentum(grid, u, cfg.lam, cfg.nu)
-    diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, sol.u_stokes, sol.w, sol.J,
+    diag = diagnostics_for_solution(grid, u, p, cfg.lam, cfg.nu, w, sol.J,
                                     ScalarField(grid, psi - psi[-1, 0]))
     return SolveReport(
-        u=u, w=sol.w, p=p, J=sol.J, flux=trace.flux, lam=cfg.lam, nu=cfg.nu,
+        u=u, w=w, p=p, J=sol.J, flux=trace.flux, lam=cfg.lam, nu=cfg.nu,
         iterations=len(sol.history), converged=sol.converged,
         residual_history=sol.history, residual_norms=sol.residual_norms, steps=sol.steps,
         diagnostics=diag,
         boundary_pressure_deviation=boundary_pressures(p).deviation,
         pressure_info=pinfo, method=cfg.method,
-        psi=ScalarField(grid, psi), omega=ScalarField(grid, sol.omega),
+        psi=ScalarField(grid, psi), omega=ScalarField(grid, omega),
     )
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,51 @@ class TestSolve:
         assert report["converged"] is False
         assert len(report["steps"]) == report["iterations"] < 200
         assert {step["kind"] for step in report["steps"]} == {"picard"}
+
+    def test_slow_divergence_exit_two_keeps_report(self, tmp_path):
+        # Picard on the spiral at F = 16, nu = 0.1 grows geometrically: it
+        # ran 200 steps to J = 1.4e88, its pressure overflowed, and the run
+        # ended in a traceback (exit 1) with an empty output directory
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "grid": {"n_r": 32, "n_theta": 64}, "nu": 0.1,
+            "boundary": {"preset": "spiral", "flux": 16.0, "amplitude": 1.0, "nu": 0.1},
+            "solver": {"method": "picard"},
+        }))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        report = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
+        assert report["converged"] is False
+        assert len(report["steps"]) == report["iterations"] < 200
+
+    @pytest.mark.parametrize("overrides, prefix", [
+        # a spiral viscosity of 0 divides by zero in the trace (ZeroDivisionError)
+        ({"boundary": {"preset": "spiral", "flux": 1.0, "amplitude": 1.0, "nu": 0.0}},
+         "boundary:"),
+        # radii of 1e300 overflow the area of the annulus (OverflowError)
+        ({"grid": {"r_inner": 1e300, "r_outer": 2e300}}, "grid:"),
+        # coefficients of about 1.6e69 lie below DATA_BOUND and the solve
+        # converges with J ~ 2e-9, but the Euler residual squares p/J^2, with
+        # p ~ flux^2
+        ({"grid": {"n_theta": 16, "n_r": 16},
+          "boundary": {"preset": "spiral", "flux": 1e70, "amplitude": 1e-8, "nu": 1.0}},
+         "solve:"),
+        # lambda/nu ~ 2e199 overflows ||F||: report.json held Infinity (exit 2)
+        ({"nu": 5e-200, "boundary": {"preset": "spiral", "flux": 5.0, "amplitude": 5.0,
+                                     "nu": 5e-200},
+          "solver": {"method": "picard", "max_iter": 1}}, "solve:"),
+    ])
+    def test_datum_that_overflows_rejected(self, tmp_path, capsys, overrides, prefix):
+        # the first three ended in a traceback (exit 1)
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {prefix}")
+        assert not (out / "report.json").exists()
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

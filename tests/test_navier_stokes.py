@@ -256,17 +256,23 @@ class TestSolve:
 
     def test_divergence_stops_at_last_finite_iterate(self):
         # Picard at nu = 0.01 on Couette(5, 0) plus k = 2 normal data blows
-        # up super-exponentially; the solve reports instead of overflowing
-        g = build_grid(24, 16, 1.0, 2.0)
-        trace = couette_trace(5.0, 0.0) + BoundaryTrace(
-            1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05})
-        report = solve(g, trace, SolverConfig(nu=0.01, method="picard"))
-        assert not report.converged
-        assert report.iterations < 200
-        assert len(report.residual_history) == len(report.steps) == report.iterations
-        assert np.all(np.isfinite(report.residual_history))
-        assert np.isfinite(report.J)
-        json.dumps(report.to_dict(), allow_nan=False)
+        # up super-exponentially.  Picard on the spiral at F = 16, nu = 0.1
+        # grows geometrically, each step a bounded multiple of its iterate:
+        # it ran all 200 steps to J = 1.4e88 and then overflowed the
+        # pressure.  Both solves report instead of overflowing
+        cases = [
+            (build_grid(24, 16, 1.0, 2.0), couette_trace(5.0, 0.0) + BoundaryTrace(
+                1.0, 2.0, normal_outer={2: 0.1}, normal_inner={2: 0.05}), 0.01),
+            (build_grid(32, 64, 1.0, 2.0), spiral_trace(16.0, 1.0, 0.1), 0.1),
+        ]
+        for g, trace, nu in cases:
+            report = solve(g, trace, SolverConfig(nu=nu, method="picard"))
+            assert not report.converged
+            assert report.iterations < 200
+            assert len(report.residual_history) == len(report.steps) == report.iterations
+            assert np.all(np.isfinite(report.residual_history))
+            assert np.isfinite(report.J)
+            json.dumps(report.to_dict(), allow_nan=False)
 
     def test_nonradial_data_dense_newton(self, grid):
         trace = couette_trace(1.0, 0.0) + BoundaryTrace(
