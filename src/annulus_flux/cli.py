@@ -296,6 +296,10 @@ def cmd_diagnose(args) -> int:
     grid = u.grid
     try:
         p, _ = pressure_from_momentum(grid, u, args.lam, args.nu)
+    except ValueError as exc:  # finite fields and parameters: a term overflowed
+        print(f"cannot diagnose fields: the pressure solve overflowed: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    try:
         record = diagnostics_for_fields(grid, u, p, args.lam, args.nu)
     except ValueError as exc:
         print(f"cannot diagnose fields: {exc}", file=sys.stderr)
@@ -355,11 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    # numpy's floating-point warnings would add lines to stderr: the field
+    # checks and the strict JSON writer turn a non-finite output into exit 3
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

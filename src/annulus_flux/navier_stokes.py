@@ -14,16 +14,16 @@ is the physical problem and lambda = 0 the Stokes problem, so the family
 interpolates exactly the way the continuation argument sets it up.
 
 Both iterations solve one discrete problem, the residual F in the modal
-layout of the per-mode systems.  A Picard step solves the prefactored stream
-blocks, the Jacobian at lambda = 0, for -F: the biharmonic problem per
-angular mode with the whole convective term frozen at the current iterate
-(linear convergence).  A Newton step differentiates both convection slots.
-At lambda = 0 the problem is the linear Stokes problem, and a solve returns
-the Stokes state, with the Stokes pressure, after 0 iterations.  Every
-Newton step is Jacobian-free Newton-Krylov (Knoll & Keyes, J. Comput. Phys.
-193, 2004): GMRES on the analytic Jacobian-vector product, built from the
-residual's own FFT and radial operators, right-preconditioned by the
-per-mode Jacobian about the angular mean.  Each of its blocks is assembled
+layout of the per-mode systems, with one Jacobian-free Newton-Krylov step
+(Knoll & Keyes, J. Comput. Phys. 193, 2004): P^-1(-F) for per-mode blocks
+P, then GMRES on the analytic Jacobian-vector product, built from the
+residual's own FFT and radial operators, right-preconditioned by P.  Picard
+takes the prefactored stream blocks, the Jacobian at lambda = 0, as P and no
+GMRES iterations: the whole convective term is frozen at the current iterate
+(linear convergence).  Newton differentiates both convection slots and takes
+the per-mode Jacobian about the angular mean as P.  At lambda = 0 the problem
+is the linear Stokes problem, and a solve returns the Stokes state, with the
+Stokes pressure, after 0 iterations.  Each block of the Newton P is assembled
 and factored at most once per step, when a solve first reaches that mode:
 about a rotationally symmetric state the preconditioner is the exact
 Jacobian, every mode k >= 1 of the residual is exactly zero, so only the
@@ -54,8 +54,9 @@ the direct solves, which can lie above tol on fine grids at low viscosity;
 the relative residual floors near 1e-12 there.  F is evaluated once per
 iterate and feeds the next step, so a Newton solve ends on the step that
 reached the solution, without a further step to confirm it.  A step that is
-not finite or reaches max|psi| >= BLOWUP_FACTOR max(1, max|psi0|) ends the
-iteration unconverged at the last iterate, which stops a geometric blow-up.
+not finite (from a non-finite F or block factor, too) or reaches
+max|psi| >= BLOWUP_FACTOR max(1, max|psi0|) ends either iteration
+unconverged at the last iterate, which stops a geometric blow-up.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .fields import (
     trilinear,
 )
 from .grid import BlockFactors, PolarGrid, solve_modes
-from .stokes import StreamBC, pressure_from_momentum, solve_stream_system
+from .stokes import StreamBC, pressure_from_momentum
 from .testspace import ClampedFamily
 
 # GMRES target of a Newton-Krylov step, relative to the Newton residual
@@ -92,8 +93,8 @@ KRYLOV_MAX_ITER = 100
 BLOWUP_FACTOR = 1e6
 
 
-class _NewtonSingularError(RuntimeError):
-    """A non-finite Newton block factor or step; ``_iterate`` ends the solve on it."""
+class _SingularStepError(RuntimeError):
+    """A non-finite right-hand side, block factor or step; ``_iterate`` ends the solve on it."""
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,12 @@ class SolveReport:
     every iterate after a step that the step defect did not certify.
     ``steps`` records each iteration's ``kind``: ``krylov`` for every
     Newton step (with ``gmres_iterations``, 0 about a rotationally symmetric
-    state, at most the cap KRYLOV_MAX_ITER) or ``picard``.  ``psi`` and
-    ``omega`` are the solver's final iterate, read only: the stream function
-    of the zero-flux part (``u = flux_carrier + curl(psi)``) and its
-    vorticity.  ``(psi.values, omega.values)`` is a warm start for
-    :func:`solve`; ``to_dict`` leaves both out.
+    state, at most the cap KRYLOV_MAX_ITER) or ``picard`` for every Picard
+    step, the Krylov step with the grid's Stokes blocks and no GMRES
+    iterations.  ``psi`` and ``omega`` are the solver's final iterate, read
+    only: the stream function of the zero-flux part (``u = flux_carrier +
+    curl(psi)``) and its vorticity.  ``(psi.values, omega.values)`` is a warm
+    start for :func:`solve`; ``to_dict`` leaves both out.
     """
 
     u: VelocityField
@@ -315,48 +317,55 @@ class _Problem:
         m.imag[modes, n + inner, inner] += (-self.ratio * k) * (domega0 / g.r)[inner]
         return m
 
-    def apply_modal(self, factors: BlockFactors, res: np.ndarray) -> np.ndarray:
-        """Nodal (dpsi, domega) from the :meth:`modal_jacobian` factors and ``res``.
+    def modal_factors(self, res: _Residual) -> BlockFactors:
+        """Lazy :class:`BlockFactors` of :meth:`modal_jacobian` about the iterate of ``res``."""
+        g = self.grid
+        return BlockFactors(functools.partial(self.modal_jacobian, res.u, res.omega.values),
+                            g.n_modes, 2 * g.n_r, complex)
 
-        Raises _NewtonSingularError on a non-finite block factor or step.
+    def apply_modal(self, factors: BlockFactors, res: np.ndarray) -> np.ndarray:
+        """Nodal (dpsi, domega) from per-mode block ``factors`` and ``res``.
+
+        Raises _SingularStepError on a non-finite ``res``, block factor or step.
         """
         try:
             step = self.grid.from_modes(solve_modes(factors, res))
         except ValueError as exc:
-            raise _NewtonSingularError from exc
+            raise _SingularStepError from exc
         if not np.all(np.isfinite(step)):
-            raise _NewtonSingularError
+            raise _SingularStepError
         return step
 
-    def newton_update(self, res: _Residual):
-        """Newton step (dpsi, domega) from ``res`` and its record ``{"kind": "krylov", ...}``.
+    def newton_update(self, res: _Residual, factors: BlockFactors, max_iter: int):
+        """Step (dpsi, domega) from ``res``, preconditioned by ``factors``, and its record.
 
-        ``res`` is :meth:`residual` at the iterate.  Its state fields,
-        ``res.u`` and ``res.omega``, keep their derivatives, so every
-        Jacobian product of the step reuses them.
-        The modal Jacobian P right-preconditions GMRES started from
-        P^-1(-F); each block of P is assembled and factored when a solve first
-        reaches its mode, at most once per step.  P is exact about a
-        rotationally symmetric state, where only its mode-0 block is built and
-        GMRES takes 0 iterations.  At its target or at KRYLOV_MAX_ITER
-        iterations the GMRES iterate gives the step.
-        Raises _NewtonSingularError on a non-finite block factor or step.
+        ``res`` is :meth:`residual` at the iterate; its fields ``res.u`` and
+        ``res.omega`` keep their derivatives for every Jacobian product of
+        the step.  The step starts as P^-1(-F), P the blocks of ``factors``.
+        With ``max_iter`` 0 that is the step, recorded ``{"kind": "picard"}``;
+        with ``grid.stream_lu``, the Jacobian at lambda = 0, it is the Picard
+        step.  Otherwise GMRES right-preconditioned by P corrects it, and its
+        iterate at the target or after ``max_iter`` iterations gives the
+        step, recorded ``{"kind": "krylov", "gmres_iterations": count}``.
+        With :meth:`modal_factors`, P is exact about a rotationally symmetric
+        state, where only its mode-0 block is built and GMRES takes 0
+        iterations.
+        Raises _SingularStepError on a non-finite ``res``, block factor or step.
         """
-        u, vorticity = res.u, res.omega
-        g = self.grid
-        factors = BlockFactors(functools.partial(self.modal_jacobian, u, vorticity.values),
-                               g.n_modes, 2 * g.n_r, complex)
         step = self.apply_modal(factors, -res.modes)
+        if not max_iter:
+            return step[0], step[1], {"kind": "picard"}
+        u, vorticity = res.u, res.omega
         # F sums terms the size of omega and of Lap(omega): below eps times
         # their size it is rounding, so no tighter linear solve is useful
         floor = np.finfo(float).eps * res.size
         target = max(KRYLOV_RTOL * res.norm, floor)
         rhs = -res.modes - self.jacobian(u, vorticity, step)
         if not np.all(np.isfinite(rhs)):  # J @ step overflowed: a non-finite step
-            raise _NewtonSingularError
+            raise _SingularStepError
         correction, count = _gmres(
             lambda v: self.jacobian(u, vorticity, self.apply_modal(factors, v)),
-            rhs, target, KRYLOV_MAX_ITER)
+            rhs, target, max_iter)
         if count:  # at 0 iterations the correction is zero
             step = step + self.apply_modal(factors, correction)
         return step[0], step[1], {"kind": "krylov", "gmres_iterations": count}
@@ -458,7 +467,8 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
     step is applied the iteration has converged when the step defect is
     below ``tol`` or, failing that, when ||F|| at the new iterate is at most
     0.1 tol times the size of the terms F sums.
-    Every Newton iteration is one ``krylov`` step.  A non-finite or
+    Every iteration is one :meth:`_Problem.newton_update` step: a ``krylov``
+    step for Newton, a ``picard`` step for Picard.  A non-finite or
     blown-up step (module docstring) is not applied: the iteration stops,
     unconverged, at the last iterate.  J is the Dirichlet norm of
     curl(psi - psi_stokes).  At lambda = 0 the Stokes state is returned,
@@ -469,6 +479,7 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
     # lambda = 0 is the linear Stokes problem, which the Stokes state solves;
     # a step from it would move it by rounding, not by zero
     stokes = cfg.lam == 0.0
+    picard = cfg.method == "picard"
     psi0, omega0 = (psi_stokes, omega_stokes) if stokes or warm_start is None else warm_start
     psi, omega = psi0, omega0
     blowup = BLOWUP_FACTOR * max(1.0, np.max(np.abs(psi0)))
@@ -482,15 +493,15 @@ def _iterate(problem: _Problem, stokes_state: tuple[np.ndarray, np.ndarray],
     for _ in range(0 if stokes else cfg.max_iter):
         # the first step starts at psi0, where the update norm is exactly 0
         scale = 1.0 if psi is psi0 else max(1.0, problem.update_norm(psi - psi0))
-        if cfg.method == "picard":
-            # the stream blocks are the Jacobian at lambda = 0
-            dpsi, domega = solve_stream_system(grid, -res.modes)
-            step = {"kind": "picard"}
-        else:
-            try:
-                dpsi, domega, step = problem.newton_update(res)
-            except _NewtonSingularError:
-                break  # a non-finite factor or step: keep the last finite iterate
+        # Picard preconditions with the stream blocks, the Jacobian at lambda = 0,
+        # and takes no GMRES iterations.  No local holds Newton's blocks, so
+        # they are freed with the step, not kept through the next residual
+        try:
+            dpsi, domega, step = problem.newton_update(
+                res, grid.stream_lu if picard else problem.modal_factors(res),
+                0 if picard else KRYLOV_MAX_ITER)
+        except _SingularStepError:
+            break  # a non-finite factor or step: keep the last finite iterate
         psi_next = psi + dpsi
         # NaN fails the comparison: a non-finite step stops here too
         if not (np.max(np.abs(psi_next)) < blowup and np.all(np.isfinite(domega))):

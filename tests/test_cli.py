@@ -3,7 +3,8 @@
 import csv
 import json
 import os
-import warnings
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,9 +121,7 @@ class TestSolve:
         # the first three ended in a traceback (exit 1)
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "o"
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
+        code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {prefix}")
@@ -493,11 +492,12 @@ class TestDiagnose:
         dump = tmp_path / "big.csv"
         write_velocity_csv(dump, 1e200 * couette(grid, 1.0, 0.0)[0])
         out = tmp_path / "diag"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["diagnose", str(dump), "--lambda", "1", "--nu", "1",
-                         "--out", str(out), "--quiet"])
+        code = main(["diagnose", str(dump), "--lambda", "1", "--nu", "1",
+                     "--out", str(out), "--quiet"])
         assert code == 3
-        assert "cannot diagnose fields" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("cannot diagnose fields: the pressure solve overflowed")
         assert not (out / "diagnostics.json").exists()
 
     def test_non_solenoidal_field_rejected(self, tmp_path, capsys):
@@ -513,6 +513,31 @@ class TestDiagnose:
                      "--out", str(out)]) == 3
         assert "divergence L2 = 4.342e-01" in capsys.readouterr().err
         assert not (out / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_overflow_leaves_one_stderr_line_in_a_plain_process(tmp_path, command):
+    # a plain interpreter printed numpy's overflow RuntimeWarning and its
+    # source line before the one error line: three lines on stderr
+    if command == "solve":
+        cfg = write_config(tmp_path, {
+            "grid": {"n_r": 16, "n_theta": 16},
+            "boundary": {"preset": "spiral", "flux": 1e70, "amplitude": 1e-8, "nu": 1.0}})
+        args = ["solve", "--config", str(cfg)]
+    else:
+        grid = build_grid(16, 16, 1.0, 2.0)
+        from annulus_flux import couette
+
+        dump = tmp_path / "big.csv"
+        write_velocity_csv(dump, 1e200 * couette(grid, 1.0, 0.0)[0])
+        args = ["diagnose", str(dump), "--lambda", "1", "--nu", "1"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "annulus_flux", *args, "--out",
+                           str(tmp_path / "out"), "--quiet"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 class TestExploratory:

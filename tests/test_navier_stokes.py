@@ -38,7 +38,7 @@ from annulus_flux.fields import advect, scalar_laplacian, velocity_l2_norm
 from annulus_flux import grid as grid_module
 from annulus_flux import navier_stokes
 from annulus_flux.grid import BlockFactors
-from annulus_flux.navier_stokes import _NewtonSingularError, _Problem, energy_cancellation
+from annulus_flux.navier_stokes import _Problem, _SingularStepError, energy_cancellation
 from annulus_flux.stokes import StreamBC, solve_stream_system
 
 NEWTON = SolverConfig(nu=1.0, lam=1.0, method="newton")
@@ -78,17 +78,28 @@ def spiral_state(grid, cfg):
     return _Problem(grid, cfg, trace.flux, StreamBC.from_trace(grid, trace)), psi, omega
 
 
+def picard_step(problem, psi, omega):
+    """The step ``solve`` takes for Picard at (psi, omega): the grid's Stokes blocks, no GMRES."""
+    return problem.newton_update(problem.residual(psi, omega), problem.grid.stream_lu, 0)
+
+
+def newton_step(problem, psi, omega):
+    """The step ``solve`` takes for Newton at (psi, omega), with its record."""
+    res = problem.residual(psi, omega)
+    return problem.newton_update(res, problem.modal_factors(res), navier_stokes.KRYLOV_MAX_ITER)
+
+
 class TestPicardStep:
     def test_lambda_zero_contracts_to_zero(self, grid):
         # at lambda = 0 one step from any state lands on the Stokes state
         problem, psi, omega = spiral_state(grid, SolverConfig(lam=0.0))
-        dpsi, _ = solve_stream_system(grid, -problem.residual(psi, omega).modes)
+        dpsi, _, _ = picard_step(problem, psi, omega)
         psi_stokes, _ = problem.bc.stokes_state(grid)
         assert problem.update_norm(psi + dpsi - psi_stokes) < 1e-10
 
     def test_exact_solution_is_fixed_point(self, grid):
         problem, psi, omega = spiral_state(grid, NEWTON)
-        dpsi, _ = solve_stream_system(grid, -problem.residual(psi, omega).modes)
+        dpsi, _, _ = picard_step(problem, psi, omega)
         assert problem.update_norm(dpsi) < 1e-8
 
     def test_contraction_at_small_data(self, grid):
@@ -103,8 +114,7 @@ class TestPicardStep:
 
         def fixed_point_map(c):
             psi = psi_stokes + c * bump.values
-            dpsi, _ = solve_stream_system(
-                grid, -problem.residual(psi, omega_stokes - c * lap_bump).modes)
+            dpsi, _, _ = picard_step(problem, psi, omega_stokes - c * lap_bump)
             return psi + dpsi
 
         q = (problem.update_norm(fixed_point_map(0.05) - fixed_point_map(-0.03))
@@ -119,17 +129,17 @@ class TestNewtonStep:
         # 1e-12 there (the Dirichlet-norm correction is bounded separately)
         g = build_grid(24, 16, 1.0, 2.0)
         problem, psi, omega = spiral_state(g, NEWTON)
-        dpsi, _, _ = problem.newton_update(problem.residual(psi, omega))
+        dpsi, _, _ = newton_step(problem, psi, omega)
         assert velocity_l2_norm(curl_of_stream(ScalarField(g, dpsi))) < 1e-12
 
     def test_correction_dirichlet_norm_small(self, grid):
         problem, psi, omega = spiral_state(grid, NEWTON)
-        dpsi, _, _ = problem.newton_update(problem.residual(psi, omega))
+        dpsi, _, _ = newton_step(problem, psi, omega)
         assert problem.update_norm(dpsi) < 1e-10
 
     def test_lambda_zero_single_step(self, grid):
         problem, psi, omega = spiral_state(grid, SolverConfig(lam=0.0))
-        dpsi, _, _ = problem.newton_update(problem.residual(psi, omega))
+        dpsi, _, _ = newton_step(problem, psi, omega)
         psi_stokes, _ = problem.bc.stokes_state(grid)
         assert problem.update_norm(psi + dpsi - psi_stokes) < 1e-9
 
@@ -289,11 +299,11 @@ class TestSolve:
         original = _Problem.newton_update
         calls = {"n": 0}
 
-        def flaky(self, res):
+        def flaky(self, *args):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise _NewtonSingularError
-            return original(self, res)
+                raise _SingularStepError
+            return original(self, *args)
 
         monkeypatch.setattr(_Problem, "newton_update", flaky)
         report = solve(grid, trace, NEWTON)
@@ -301,6 +311,17 @@ class TestSolve:
         assert report.iterations == 0 and report.steps == [] and calls["n"] == 1
         assert np.isfinite(report.J) and np.all(np.isfinite(report.residual_norms))
         json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_nonfinite_picard_residual_ends_solve_at_start(self, grid):
+        # lambda/nu = 1e300 overflows the convection of F, so the first step
+        # has a non-finite right-hand side.  Picard raised ValueError out of
+        # solve on it; both methods now end at the finite Stokes state
+        trace = couette_trace(1e10, 0.0) + BoundaryTrace(1.0, 2.0, normal_outer={2: 0.1})
+        for method in ("picard", "newton"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = solve(grid, trace, SolverConfig(nu=1e-300, method=method))
+            assert not report.converged
+            assert report.iterations == 0 and report.steps == [] and report.J == 0.0
 
     def test_report_serialization(self, grid, spiral_setting):
         report = solve(grid, spiral_setting[0], NEWTON)
@@ -379,19 +400,22 @@ class TestSweep:
     ])
     def test_sweep_solves_stokes_once(self, grid, monkeypatch, parameter, values):
         # the clamped stream data, and so the Stokes state, are the same at
-        # every point; a Newton sweep takes no other stream solve.  The
-        # Stokes state is solved in the stokes module, Picard steps here
-        calls = []
+        # every point; a sweep of either method takes no other stream-system
+        # solve, since a Picard step is the Krylov step with no GMRES
+        # iterations.  The solver binds no stream solve of its own, so every
+        # call goes through the stokes module
+        assert not hasattr(navier_stokes, "solve_stream_system")
+        for cfg in (NEWTON, PICARD):
+            calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return solve_stream_system(*args)
+            def counted(*args):
+                calls.append(args)
+                return solve_stream_system(*args)
 
-        monkeypatch.setattr(navier_stokes, "solve_stream_system", counted)
-        monkeypatch.setattr("annulus_flux.stokes.solve_stream_system", counted)
-        result = sweep(grid, spiral_trace(1.0, 1.0, 1.0), NEWTON, parameter, values)
-        assert result.all_converged()
-        assert len(calls) == 1
+            monkeypatch.setattr("annulus_flux.stokes.solve_stream_system", counted)
+            result = sweep(grid, spiral_trace(1.0, 1.0, 1.0), cfg, parameter, values)
+            assert result.all_converged()
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("trace, parameter, values", [
         (spiral_trace(1.0, 1.0, 1.0), "flux", [0.0, 1.0, 2.0, 5.0]),
@@ -512,15 +536,15 @@ class TestNewtonKrylov:
         if J is not None:
             assert abs(report.J - J) <= 1e-6
 
-    def test_krylov_miss_raises(self, grid, monkeypatch):
+    def test_krylov_cap_gives_finite_step(self, grid, monkeypatch):
         # a GMRES miss raises nothing: at the cap its iterate is the step
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
         monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
-        dpsi, domega, step = problem.newton_update(problem.residual(psi, omega))
+        dpsi, domega, step = newton_step(problem, psi, omega)
         assert np.all(np.isfinite(dpsi)) and np.all(np.isfinite(domega))
         assert step == {"kind": "krylov", "gmres_iterations": 1}
 
-    def test_krylov_miss_falls_back_to_picard(self, grid, monkeypatch):
+    def test_capped_krylov_steps_converge(self, grid, monkeypatch):
         # capped at 1 GMRES iteration every step misses its target, and the
         # inexact Newton steps still converge
         monkeypatch.setattr(navier_stokes, "KRYLOV_MAX_ITER", 1)
@@ -542,8 +566,8 @@ class TestNewtonKrylov:
 
         monkeypatch.setattr(_Problem, "jacobian", poisoned)
         problem, psi, omega = self._state(grid, NONAXI_CASES["couette_k2_32x16"][1])
-        with pytest.raises(_NewtonSingularError):
-            problem.newton_update(problem.residual(psi, omega))
+        with pytest.raises(_SingularStepError):
+            newton_step(problem, psi, omega)
         report = solve(grid, NONAXI_CASES["couette_k2_32x16"][1], replace(NEWTON, max_iter=2))
         assert not report.converged and report.steps == []
         assert np.isfinite(report.J)
@@ -599,7 +623,7 @@ class TestNewtonKrylov:
         # about a rotationally symmetric state the preconditioner is the exact
         # Jacobian, so GMRES has nothing left to do
         problem, psi, omega = self._state(fine_grid, spiral_trace(2 * np.pi, 1.0, 1.0))
-        dpsi, domega, record = problem.newton_update(problem.residual(psi, omega))
+        dpsi, domega, record = newton_step(problem, psi, omega)
         assert record == {"kind": "krylov", "gmres_iterations": 0}
         g = fine_grid
         res, u = problem.residual(psi, omega)[:2]
@@ -620,15 +644,14 @@ class TestNewtonKrylov:
         # reaches every block, all built in one call.  The reference factors
         # and solves every block of the full stack per mode
         problem, psi, omega = self._state(fine_grid, trace)
-        res = problem.residual(psi, omega)
-        blocks = problem.modal_jacobian(res.u, omega)
+        blocks = problem.modal_jacobian(problem.residual(psi, omega).u, omega)
 
         def reference_solve(factors, rhs):
             return np.stack([lu_solve(lu_factor(block), b) for block, b in zip(blocks, rhs)])
 
         with monkeypatch.context() as m:
             m.setattr(grid_module, "solve_blocks", reference_solve)
-            want = problem.newton_update(res)
+            want = newton_step(problem, psi, omega)
         made, built = [], []
         full_build = problem.modal_jacobian
 
@@ -639,7 +662,7 @@ class TestNewtonKrylov:
         monkeypatch.setattr(problem, "modal_jacobian", spy)
         monkeypatch.setattr(navier_stokes, "BlockFactors",
                             lambda *args: made.append(BlockFactors(*args)) or made[-1])
-        got = problem.newton_update(res)
+        got = newton_step(problem, psi, omega)
         assert len(made) == 1 and np.flatnonzero(made[0].factored).tolist() == factored
         assert built == [factored]  # in one call
         assert got[2] == want[2]
@@ -650,7 +673,7 @@ class TestOneProblem:
     """Picard and Newton read one residual; lambda = 0 is the Stokes state."""
 
     @pytest.mark.parametrize("case", sorted(NONAXI_CASES))
-    def test_picard_update_is_fixed_point_map(self, case):
+    def test_picard_step_is_fixed_point_map(self, case):
         # reference: the frozen-convection Stokes-type solve minus the state,
         # with the convection and the side condition assembled on their own
         (n_r, n_theta), trace = NONAXI_CASES[case]
@@ -667,10 +690,29 @@ class TestOneProblem:
             swirl = advect(u, u).u_theta.values  # theta component of (u.grad)u
             rhs[1, 0, 0] = problem.ratio * swirl[0, :].mean() * n_theta
             target_psi, target_omega = solve_stream_system(g, rhs)
-            dpsi, domega = solve_stream_system(g, -problem.residual(psi, omega).modes)
+            dpsi, domega, _ = picard_step(problem, psi, omega)
             scale = max(np.max(np.abs(psi)), np.max(np.abs(omega)))
             assert np.max(np.abs(dpsi - (target_psi - psi))) <= 1e-11 * scale
             assert np.max(np.abs(domega - (target_omega - omega))) <= 1e-11 * scale
+            psi, omega = psi + dpsi, omega + domega
+
+    @pytest.mark.parametrize("case", [*sorted(NONAXI_CASES), "spiral_ring"])
+    def test_picard_step_is_stream_solve_of_residual(self, case):
+        # the Krylov step with the Stokes blocks and no GMRES iterations is
+        # the stream-system solve for -F, bit for bit, on the full grid and
+        # on the ring, at the Stokes state and after a step
+        if case == "spiral_ring":
+            g, trace = build_grid(32, 64, 1.0, 2.0).ring, spiral_trace(6.0, 1.0, 1.0)
+        else:
+            (n_r, n_theta), trace = NONAXI_CASES[case]
+            g = build_grid(n_r, n_theta, 1.0, 2.0)
+        problem = _Problem(g, PICARD, trace.flux, StreamBC.from_trace(g, trace))
+        psi, omega = problem.bc.stokes_state(g)
+        for _ in range(2):
+            dpsi, domega, record = picard_step(problem, psi, omega)
+            want_psi, want_omega = solve_stream_system(g, -problem.residual(psi, omega).modes)
+            assert record == {"kind": "picard"}
+            assert np.array_equal(dpsi, want_psi) and np.array_equal(domega, want_omega)
             psi, omega = psi + dpsi, omega + domega
 
     @pytest.mark.parametrize("case", sorted(NONAXI_CASES))

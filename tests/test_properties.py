@@ -1,9 +1,10 @@
 """Property tests: solve on random admissible data returns a report, never raises.
 
 Hypothesis draws ``fourier`` traces (flux, swirl and harmonics k = 1..4 on
-both circles) at moderate viscosity.  Every step of a report is a ``krylov``
-or ``picard`` step.  A converged Newton report is held to
-the benchmark's own acceptance bounds, so a stopping rule that certified a
+both circles) at moderate viscosity.  Every step of a report is a
+``krylov`` or ``picard`` step, and every step of a Picard report a
+``picard`` step.  A converged report of either method is held to the
+benchmark's own acceptance bounds, so a stopping rule that certified a
 wrong state would show here.
 """
 
@@ -41,6 +42,18 @@ def test_newton_solve_reports_and_converged_states_hold_bounds(trace, nu):
     cfg = SolverConfig(nu=nu)
     report = solve(grid, trace, cfg)
     assert all(step["kind"] in ("krylov", "picard") for step in report.steps)
+    if report.converged:
+        assert abs(flux_inner(report.u) - trace.flux) <= FLUX_TOL
+        assert weak_residual(grid, report.w, report.u - report.w, cfg) <= WEAK_RESIDUAL_TOL
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(trace=traces(), nu=st.floats(0.2, 1.0))
+def test_picard_solve_reports_and_converged_states_hold_bounds(trace, nu):
+    grid = build_grid(24, 32, R_INNER, R_OUTER)
+    cfg = SolverConfig(nu=nu, method="picard")
+    report = solve(grid, trace, cfg)
+    assert report.steps == [{"kind": "picard"}] * report.iterations
     if report.converged:
         assert abs(flux_inner(report.u) - trace.flux) <= FLUX_TOL
         assert weak_residual(grid, report.w, report.u - report.w, cfg) <= WEAK_RESIDUAL_TOL
